@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-warm lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke fmt-check ci
+.PHONY: all build vet lint lint-self lint-warm lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check fmt-check ci
 
 all: build
 
@@ -144,6 +144,13 @@ loadgen-smoke:
 bench-serve:
 	./scripts/bench_serve.sh
 
+# The benchmark (perfbench/, a nested module that `go test ./...` skips)
+# imports serve, core, hsom, lgp and more: vet and test it against this
+# tree, offline, with the settings perfbench/run.sh builds it with.
+perfbench-check:
+	GOFLAGS=-buildvcs=false GOPROXY=off $(GO) -C perfbench vet ./...
+	GOFLAGS=-buildvcs=false GOPROXY=off $(GO) -C perfbench test ./...
+
 # Fails when any tracked Go file is not gofmt-formatted.
 fmt-check:
 	@out=$$(gofmt -l .); \
@@ -151,4 +158,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet lint lint-warm build test race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke
+ci: fmt-check vet lint lint-warm build test race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check

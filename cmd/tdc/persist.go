@@ -86,7 +86,7 @@ func cmdClassify(args []string) error {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
 	modelPath := fs.String("model", "model.json", "persisted model file")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
-	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default), float32 (opt-in reduced precision), legacy (dense reference)")
+	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default) or float32 (opt-in reduced precision)")
 	sgml := fs.String("sgml", "", "SGML file with documents to classify (default: synthetic test split)")
 	profile := fs.String("profile", "smoke", "profile for the default synthetic corpus")
 	seed := fs.Int64("seed", 0, "override profile seed")

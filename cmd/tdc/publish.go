@@ -23,7 +23,7 @@ func cmdPublish(args []string) error {
 	name := fs.String("name", "", "model name to publish under (required)")
 	version := fs.String("version", "", "version name, e.g. v1 (required)")
 	snapshot := fs.String("snapshot", "", "snapshot file to publish (required)")
-	kernel := fs.String("kernel", "", "record an encode-kernel override for this version (float64, float32, legacy; empty inherits the server's)")
+	kernel := fs.String("kernel", "", "record an encode-kernel override for this version (float64 or float32; empty inherits the server's)")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
 	if err := fs.Parse(args); err != nil {
 		return err

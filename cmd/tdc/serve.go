@@ -22,20 +22,20 @@ import (
 // multi-tenant: requests pick a model/version, cold models load lazily
 // into a bounded resident cache).
 //
-// Lifecycle: SIGHUP (or POST /v1/reload) re-reads -model and swaps it
-// in atomically — or rescans -models-dir in registry mode;
-// SIGINT/SIGTERM stop accepting connections, drain in-flight requests
-// for up to -drain, then exit.
+// Lifecycle: SIGHUP (or POST /v1/reload) rescans: -models-dir is
+// re-read, -model reloaded and swapped in atomically. SIGINT/SIGTERM
+// stop accepting connections, drain in-flight requests for up to
+// -drain, then exit.
 func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	modelPath := fs.String("model", "model.json", "persisted model snapshot to serve")
+	modelPath := fs.String("model", "model.json", "persisted model snapshot to serve (as the one-entry registry default/current)")
 	modelsDir := fs.String("models-dir", "", "model registry directory to serve (multi-tenant; mutually exclusive with -model)")
-	defaultModel := fs.String("default-model", "", "model unnamed requests resolve to in registry mode (default: the sole published model)")
-	resident := fs.Int("resident", 0, "max models resident at once in registry mode (default 4)")
-	residentBytes := fs.Int64("resident-bytes", 0, "max summed snapshot bytes resident in registry mode (0 = unlimited)")
+	defaultModel := fs.String("default-model", "", "model unnamed requests resolve to under -models-dir (default: the sole published model)")
+	resident := fs.Int("resident", 0, "max models resident at once under -models-dir (default 4)")
+	residentBytes := fs.Int64("resident-bytes", 0, "max summed snapshot bytes resident under -models-dir (0 = unlimited)")
 	addr := fs.String("addr", "localhost:8080", "listen address (host:port; port 0 picks a free port)")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
-	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default), float32 (opt-in reduced precision), legacy (dense reference)")
+	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default) or float32 (opt-in reduced precision)")
 	workers := fs.Int("workers", 0, "classification worker count (default GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued-request bound before 503s (default 64)")
 	maxBatch := fs.Int("max-batch", 0, "documents per batch request (default 64)")
@@ -70,8 +70,8 @@ func cmdServe(args []string) error {
 		return errors.New("-trace-sample needs -trace-events to write the records to")
 	}
 
-	// -model has a default for the single-model path; in registry mode it
-	// only counts when the user actually set it (then the modes conflict).
+	// -model has a default; next to -models-dir it only counts when the
+	// user actually set it (then the two conflict).
 	mp := *modelPath
 	if *modelsDir != "" {
 		modelSet := false
@@ -112,31 +112,28 @@ func cmdServe(args []string) error {
 		return err
 	}
 	hs := &http.Server{Handler: srv.Handler()}
+	// Signals are caught before the address is announced: a caller that
+	// sends SIGTERM as soon as it reads the line below gets a drain, not
+	// the default kill.
+	sigCh := make(chan os.Signal, 2)
+	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
+	defer signal.Stop(sigCh)
 	// Scripted callers (serve-smoke, examples) parse this line to find
 	// the bound port, so it goes to stdout, not the logger.
 	fmt.Printf("serving on http://%s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-	sigCh := make(chan os.Signal, 2)
-	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM, syscall.SIGHUP)
-	defer signal.Stop(sigCh)
 
 	for {
 		select {
 		case sig := <-sigCh:
 			if sig == syscall.SIGHUP {
-				if srv.MultiTenant() {
-					if stats, err := srv.Rescan(); err != nil {
-						ts.log.Error("SIGHUP rescan failed; previous catalog keeps serving", "err", err)
-					} else {
-						ts.log.Info("SIGHUP rescan done", "models", stats.Models, "versions", stats.Versions,
-							"skipped", stats.Skipped, "temp_dirs", stats.TempDirs)
-					}
-				} else if snap, err := srv.Reload(); err != nil {
-					ts.log.Error("SIGHUP reload failed; previous model keeps serving", "err", err)
+				if rr, err := srv.Reload(); err != nil {
+					ts.log.Error("SIGHUP reload failed; previous models keep serving", "err", err)
 				} else {
-					ts.log.Info("SIGHUP reload done", "sha256", snap.Info.SHA256)
+					ts.log.Info("SIGHUP reload done", "models", rr.Models, "versions", rr.Versions,
+						"skipped", rr.Skipped, "sha256", rr.ModelHash, "changed", rr.Changed)
 				}
 				continue
 			}

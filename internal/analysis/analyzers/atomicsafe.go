@@ -402,7 +402,7 @@ func atomicFieldID(pass *analysis.Pass, sel *ast.SelectorExpr) (string, *types.V
 }
 
 // shortFieldID drops the module-path noise from a field ID:
-// "temporaldoc/internal/serve.Handle.cur" → "serve.Handle.cur".
+// "temporaldoc/internal/telemetry.Counter.v" → "telemetry.Counter.v".
 func shortFieldID(fid string) string {
 	if i := strings.LastIndex(fid, "/"); i >= 0 {
 		return fid[i+1:]

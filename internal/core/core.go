@@ -602,7 +602,7 @@ func (m *Model) FeatureMethod() featsel.Method { return m.cfg.FeatureMethod }
 func (m *Model) Encoder() *hsom.Encoder { return m.encoder }
 
 // SetKernel selects the encoder's level-2 distance kernel by name
-// ("float64", "float32", "legacy"; "" is the default). The choice is a
+// ("float64" or "float32"; "" is the default). The choice is a
 // runtime knob — never persisted, snapshots always carry float64
 // weights. Switching drops the encode cache: cached encodings were
 // produced under the previous kernel. Not safe to call concurrently

@@ -7,47 +7,6 @@ import (
 	"testing"
 )
 
-// TestKernelParityClassification is the system-level byte-identity wall:
-// the table-driven sparse default kernel must produce the exact
-// prediction bytes — scores included — the legacy dense path does, over
-// the full synthetic test split.
-func TestKernelParityClassification(t *testing.T) {
-	m, c := trainedModel(t)
-	defer func() {
-		if err := m.SetKernel(""); err != nil {
-			t.Fatal(err)
-		}
-	}()
-	if got := m.Kernel(); got != "float64" {
-		t.Fatalf("default kernel = %q", got)
-	}
-	classify := func() [][]Prediction {
-		out := make([][]Prediction, len(c.Test))
-		for i := range c.Test {
-			preds, err := m.ClassifyDoc(&c.Test[i], nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[i] = preds
-		}
-		return out
-	}
-	fast := classify()
-	if err := m.SetKernel("legacy"); err != nil {
-		t.Fatal(err)
-	}
-	legacy := classify()
-	for i := range fast {
-		for j := range fast[i] {
-			a, b := fast[i][j], legacy[i][j]
-			if a.Category != b.Category || a.InClass != b.InClass ||
-				math.Float64bits(a.Score) != math.Float64bits(b.Score) {
-				t.Fatalf("doc %d %s: sparse %+v, legacy %+v", i, a.Category, a, b)
-			}
-		}
-	}
-}
-
 // TestSetKernelInvalidatesEncodeCache checks a kernel switch cannot
 // serve encodings produced under the previous kernel.
 func TestSetKernelInvalidatesEncodeCache(t *testing.T) {

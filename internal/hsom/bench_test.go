@@ -62,7 +62,8 @@ func BenchmarkWordVectorCold(b *testing.B) {
 }
 
 // BenchmarkEncodeDocument measures steady-state full-document encoding
-// (warm word cache) under each level-2 kernel.
+// (warm word cache) under each level-2 kernel, plus the dense reference
+// encoder (denseEncode; BENCH_PR6.json's kernel=legacy row).
 func BenchmarkEncodeDocument(b *testing.B) {
 	enc, vocab := benchEncoder(b)
 	rng := rand.New(rand.NewSource(9))
@@ -71,7 +72,15 @@ func BenchmarkEncodeDocument(b *testing.B) {
 		doc[i] = vocab[rng.Intn(len(vocab))]
 	}
 	cat := enc.Categories()[0]
-	for _, k := range []Kernel{KernelLegacy, KernelFloat64, KernelFloat32} {
+	b.Run("kernel=dense", func(b *testing.B) {
+		denseEncode(enc, cat, doc) // warm the cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			denseEncode(enc, cat, doc)
+		}
+	})
+	for _, k := range []Kernel{KernelFloat64, KernelFloat32} {
 		b.Run(fmt.Sprintf("kernel=%s", k), func(b *testing.B) {
 			if err := enc.SetKernel(k); err != nil {
 				b.Fatal(err)

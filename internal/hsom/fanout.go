@@ -125,7 +125,7 @@ func (e *Encoder) lookupWord(word string) *wordEntry {
 // fillWordEntry computes a word's dense vector — through the fanout
 // table where possible, through the live NearestK search beyond the
 // table bound — and derives its sparse forms. The per-character
-// contributions are added in exactly the legacy order (character by
+// contributions are added in exactly the live search's order (character by
 // character, rank by rank), so the dense vector is bit-identical to
 // the pre-table computation.
 func (e *Encoder) fillWordEntry(en *wordEntry, word string) {

@@ -566,7 +566,9 @@ func (e *Encoder) Encode(cat string, words []string) ([]WordCode, error) {
 		u := e.bmuFor(ce, en)
 		code := WordCode{Word: w, Unit: u}
 		if g, ok := ce.gauss[u]; ok {
-			raw := e.membershipFor(g, en)
+			// Membership runs in float64 under every kernel: the float32
+			// opt-in covers only the distance sweep.
+			raw := g.EvalSparse(en.idx, en.val)
 			if raw >= g.MinValue {
 				code.Member = true
 				code.NormIndex = float64(u) / units

@@ -13,8 +13,9 @@ type Kernel string
 
 const (
 	// KernelFloat64 is the default: the table-driven fanout plus the
-	// sparse float64 BMU sweep, proven bit-identical to the legacy
-	// dense search (the empty string also selects it).
+	// sparse float64 BMU sweep, proven bit-identical to a dense BMU
+	// search and dense Gaussian evaluation by TestEncodeKernelParity
+	// (the empty string also selects it).
 	KernelFloat64 Kernel = "float64"
 	// KernelFloat32 runs the level-2 BMU distance sweep in float32 over
 	// a derived weight view. Opt-in only: deterministic, but not
@@ -23,10 +24,6 @@ const (
 	// and must never become the default. Gaussian membership stays in
 	// float64 either way.
 	KernelFloat32 Kernel = "float32"
-	// KernelLegacy is the pre-table dense reference path (live NearestK
-	// per character, dense BMU sweep, dense Gaussian evaluation). It is
-	// what the byte-identity walls compare the fast kernels against.
-	KernelLegacy Kernel = "legacy"
 )
 
 // ParseKernel resolves a user-supplied kernel name ("" selects the
@@ -37,10 +34,8 @@ func ParseKernel(name string) (Kernel, error) {
 		return KernelFloat64, nil
 	case KernelFloat32:
 		return KernelFloat32, nil
-	case KernelLegacy:
-		return KernelLegacy, nil
 	default:
-		return "", fmt.Errorf("hsom: unknown kernel %q (float64, float32, legacy)", name)
+		return "", fmt.Errorf("hsom: unknown kernel %q (float64, float32)", name)
 	}
 }
 
@@ -52,7 +47,6 @@ func (e *Encoder) SetKernel(k Kernel) error {
 	switch k {
 	case "", KernelFloat64:
 		k = KernelFloat64
-	case KernelLegacy:
 	case KernelFloat32:
 		for _, cat := range e.Categories() {
 			ce := e.categories[cat]
@@ -61,7 +55,7 @@ func (e *Encoder) SetKernel(k Kernel) error {
 			}
 		}
 	default:
-		return fmt.Errorf("hsom: unknown kernel %q (float64, float32, legacy)", k)
+		return fmt.Errorf("hsom: unknown kernel %q (float64, float32)", k)
 	}
 	e.kernel = k
 	return nil
@@ -76,7 +70,7 @@ func (e *Encoder) Kernel() Kernel {
 }
 
 // value finishes a Gaussian evaluation from the squared distance d2 —
-// shared by the dense and sparse kernels so their tails are the same
+// shared by Eval and EvalSparse so their tails are the same
 // instructions.
 //
 //tdlint:hotpath
@@ -121,24 +115,8 @@ func (g *Gaussian) EvalSparse(idx []int32, val []float64) float64 {
 //
 //tdlint:hotpath
 func (e *Encoder) bmuFor(ce *CategoryEncoder, en *wordEntry) int {
-	switch e.kernel {
-	case KernelFloat32:
+	if e.kernel == KernelFloat32 {
 		return ce.k32.BMUSparse(en.idx, en.val32)
-	case KernelLegacy:
-		return ce.Map.BMU(en.dense)
-	default:
-		return ce.Map.BMUSparse(en.idx, en.val)
 	}
-}
-
-// membershipFor evaluates the BMU's Gaussian for one cached word entry
-// under the active kernel. Membership always runs in float64 — the
-// float32 opt-in covers only the distance sweep.
-//
-//tdlint:hotpath
-func (e *Encoder) membershipFor(g *Gaussian, en *wordEntry) float64 {
-	if e.kernel == KernelLegacy {
-		return g.Eval(en.dense)
-	}
-	return g.EvalSparse(en.idx, en.val)
+	return ce.Map.BMUSparse(en.idx, en.val)
 }

@@ -7,6 +7,10 @@
 //	<root>/<model>/<version>/snapshot.bin    the core.Model.Save bytes
 //	<root>/<model>/<version>/manifest.json   identity + integrity record
 //
+// A root may also be a single snapshot file (`tdc serve -model`): the
+// registry then serves it as the one-entry catalog default/current,
+// loaded at Open and re-read by every Scan.
+//
 // Three invariants hold the layout together:
 //
 //   - Atomic publish. A version is written into a dot-prefixed temp

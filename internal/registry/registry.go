@@ -25,10 +25,20 @@ var (
 	ErrModelRequired  = errors.New("registry: request must name a model (no default is configured and more than one model is published)")
 )
 
+// FileModel and FileVersion name the one entry a registry opened on a
+// snapshot file serves.
+const (
+	FileModel   = "default"
+	FileVersion = "current"
+)
+
 // Config parameterises one registry instance.
 type Config struct {
-	// Root is the registry directory (layout: <root>/<model>/<version>).
-	// It must exist; publishing creates model directories beneath it.
+	// Root is the registry directory (layout: <root>/<model>/<version>)
+	// or a single snapshot file. It must exist; publishing creates model
+	// directories beneath a directory root. A file root is served as the
+	// one-entry catalog FileModel/FileVersion, always resident, and
+	// every Scan re-reads it.
 	Root string
 	// Default, when set, is the model Acquire resolves an empty model
 	// name to. When unset and exactly one model is published, that model
@@ -74,10 +84,15 @@ type VersionStatus struct {
 	FeatureMethod string    `json:"feature_method"`
 	Kernel        string    `json:"kernel,omitempty"`
 	CreatedAt     time.Time `json:"created_at"`
+	// SnapshotPath is the snapshot file this version loads from.
+	SnapshotPath string `json:"snapshot_path"`
 	// Latest marks the version an empty-version Acquire resolves to.
 	Latest bool `json:"latest"`
-	// Resident reports whether this version is currently loaded.
-	Resident bool `json:"resident"`
+	// Resident reports whether this version is currently loaded; a
+	// resident version also reports when it loaded and its categories.
+	Resident   bool       `json:"resident"`
+	LoadedAt   *time.Time `json:"loaded_at,omitempty"`
+	Categories []string   `json:"categories,omitempty"`
 }
 
 // ModelStatus is one model's catalog entry as rendered by Models.
@@ -103,7 +118,7 @@ type Snapshot struct {
 // catVersion is one scanned version in the catalog.
 type catVersion struct {
 	manifest Manifest
-	dir      string
+	path     string // the snapshot file
 }
 
 // catModel is one scanned model: its versions plus their latest-last
@@ -149,7 +164,12 @@ type regMetrics struct {
 // resident-model LRU. All methods are safe for concurrent use.
 type Registry struct {
 	cfg Config
+	// file is set when Root is a snapshot file rather than a directory.
+	file bool
 
+	// scanMu serialises Scan, so concurrent rescans (SIGHUP racing
+	// POST /v1/reload) install their results in call order.
+	scanMu sync.Mutex
 	// mu guards catalog, resident, lru and residentBytes. It is held
 	// only for map/list work — never across a model load.
 	mu            sync.Mutex
@@ -166,8 +186,9 @@ type Registry struct {
 }
 
 // Open validates the configuration, scans Root once and returns a live
-// registry. An unreadable root is an error; an empty one is a valid
-// (zero-model) registry.
+// registry. An unreadable root is an error; an empty directory is a
+// valid (zero-model) registry. A file root is loaded here, so a
+// corrupt or mismatching snapshot fails Open.
 func Open(cfg Config) (*Registry, error) {
 	if cfg.Root == "" {
 		return nil, errors.New("registry: Config.Root is required")
@@ -175,9 +196,6 @@ func Open(cfg Config) (*Registry, error) {
 	fi, err := os.Stat(cfg.Root)
 	if err != nil {
 		return nil, fmt.Errorf("registry: root: %w", err)
-	}
-	if !fi.IsDir() {
-		return nil, fmt.Errorf("registry: root %s is not a directory", cfg.Root)
 	}
 	if cfg.Default != "" {
 		if err := ValidateName(cfg.Default); err != nil {
@@ -195,6 +213,7 @@ func Open(cfg Config) (*Registry, error) {
 	}
 	r := &Registry{
 		cfg:      cfg,
+		file:     !fi.IsDir(),
 		catalog:  map[string]*catModel{},
 		resident: map[resKey]*resEntry{},
 		lru:      list.New(),
@@ -221,7 +240,13 @@ func Open(cfg Config) (*Registry, error) {
 // models whose version vanished from disk are dropped from the cache —
 // requests that already pinned them are unaffected. Safe to call while
 // serving: Acquire resolves names against whichever catalog is current.
+// For a file root Scan reloads the file instead (see scanFile).
 func (r *Registry) Scan() (ScanStats, error) {
+	r.scanMu.Lock()
+	defer r.scanMu.Unlock()
+	if r.file {
+		return r.scanFile()
+	}
 	var stats ScanStats
 	catalog := map[string]*catModel{}
 	entries, err := os.ReadDir(r.cfg.Root)
@@ -269,6 +294,48 @@ func (r *Registry) Scan() (ScanStats, error) {
 	return stats, nil
 }
 
+// scanFile loads the snapshot file — read, hash, decode and validate,
+// once — and installs it as the resident FileModel/FileVersion, with a
+// catalog entry derived from what it loaded. On error nothing changes:
+// the previous snapshot keeps serving. Requests that pinned it keep it
+// after a swap too.
+func (r *Registry) scanFile() (ScanStats, error) {
+	cv := &catVersion{path: r.cfg.Root}
+	snap, err := r.open(FileModel, FileVersion, cv.path, "")
+	if err != nil {
+		r.met.loadErrors.Inc()
+		return ScanStats{}, err
+	}
+	cv.manifest = Manifest{
+		Model:         FileModel,
+		Version:       FileVersion,
+		SHA256:        snap.Info.SHA256,
+		Bytes:         snap.Info.Bytes,
+		FeatureMethod: string(snap.Model.FeatureMethod()),
+		Kernel:        snap.Model.Kernel(),
+		CreatedAt:     snap.LoadedAt,
+	}
+	snap.Manifest = cv.manifest
+	key := resKey{FileModel, FileVersion}
+	e := &resEntry{key: key, done: make(chan struct{}), snap: snap}
+	close(e.done)
+
+	r.mu.Lock()
+	r.catalog = map[string]*catModel{FileModel: {
+		versions: map[string]*catVersion{FileVersion: cv},
+		order:    []string{FileVersion},
+	}}
+	if old := r.resident[key]; old != nil {
+		r.lru.Remove(old.elem)
+		r.residentBytes -= old.snap.Info.Bytes
+	}
+	r.resident[key] = e
+	e.elem = r.lru.PushFront(e)
+	r.residentBytes += snap.Info.Bytes
+	r.mu.Unlock()
+	return ScanStats{Models: 1, Versions: 1}, nil
+}
+
 // scanModel reads one model directory, returning nil when no valid
 // version survives.
 func (r *Registry) scanModel(model string, stats *ScanStats) *catModel {
@@ -301,7 +368,7 @@ func (r *Registry) scanModel(model string, stats *ScanStats) *catModel {
 			stats.Skipped++
 			continue
 		}
-		cm.versions[version] = &catVersion{manifest: man, dir: vdir}
+		cm.versions[version] = &catVersion{manifest: man, path: filepath.Join(vdir, snapshotName)}
 		cm.order = append(cm.order, version)
 	}
 	if len(cm.order) == 0 {
@@ -364,18 +431,23 @@ func (r *Registry) Models() []ModelStatus {
 		cm := r.catalog[name]
 		ms := ModelStatus{Name: name, Versions: make([]VersionStatus, 0, len(cm.order))}
 		for i, v := range cm.order {
-			man := cm.versions[v].manifest
-			e := r.resident[resKey{name, v}]
-			ms.Versions = append(ms.Versions, VersionStatus{
+			cv := cm.versions[v]
+			man := cv.manifest
+			vs := VersionStatus{
 				Version:       v,
 				SHA256:        man.SHA256,
 				Bytes:         man.Bytes,
 				FeatureMethod: man.FeatureMethod,
 				Kernel:        man.Kernel,
 				CreatedAt:     man.CreatedAt,
+				SnapshotPath:  cv.path,
 				Latest:        i == len(cm.order)-1,
-				Resident:      e != nil && e.elem != nil,
-			})
+			}
+			if e := r.resident[resKey{name, v}]; e != nil && e.elem != nil {
+				loaded := e.snap.LoadedAt
+				vs.Resident, vs.LoadedAt, vs.Categories = true, &loaded, e.snap.Model.Categories()
+			}
+			ms.Versions = append(ms.Versions, vs)
 		}
 		out = append(out, ms)
 	}
@@ -501,15 +573,16 @@ func (r *Registry) Acquire(ctx context.Context, model, version string) (*Snapsho
 	return snap, nil
 }
 
-// load reads, verifies and prepares one snapshot. Runs without the
-// registry lock — loading is the slow path and must not block hits.
+// load reads, verifies and prepares one published version: open plus
+// the manifest's integrity checks. Runs without the registry lock —
+// loading is the slow path and must not block hits.
 func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error) {
-	r.met.loads.Inc()
-	m, info, err := r.loader(filepath.Join(cv.dir, snapshotName))
-	if err != nil {
-		return nil, fmt.Errorf("registry: load %s/%s: %w", model, version, err)
-	}
 	man := cv.manifest
+	snap, err := r.open(model, version, cv.path, man.Kernel)
+	if err != nil {
+		return nil, err
+	}
+	info := snap.Info
 	if info.SHA256 != man.SHA256 {
 		return nil, fmt.Errorf("registry: %s/%s snapshot bytes (sha256 %s) do not match the manifest (%s)",
 			model, version, info.SHA256, man.SHA256)
@@ -518,17 +591,29 @@ func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error
 		return nil, fmt.Errorf("registry: %s/%s snapshot is %d bytes, manifest says %d",
 			model, version, info.Bytes, man.Bytes)
 	}
-	if got := string(m.FeatureMethod()); got != man.FeatureMethod {
+	if got := string(snap.Model.FeatureMethod()); got != man.FeatureMethod {
 		return nil, fmt.Errorf("registry: %s/%s was trained with feature method %q, manifest says %q",
 			model, version, got, man.FeatureMethod)
+	}
+	snap.Manifest = man
+	return snap, nil
+}
+
+// open loads one snapshot file, checks it against the required feature
+// method and applies the encode kernel (kernel, when set, overrides the
+// configured one) before anyone can acquire it.
+func (r *Registry) open(model, version, path, kernel string) (*Snapshot, error) {
+	r.met.loads.Inc()
+	m, info, err := r.loader(path)
+	if err != nil {
+		return nil, fmt.Errorf("registry: load %s/%s: %w", model, version, err)
 	}
 	if r.cfg.Method != "" && m.FeatureMethod() != r.cfg.Method {
 		return nil, fmt.Errorf("registry: %s/%s feature method %q does not satisfy the required %q",
 			model, version, m.FeatureMethod(), r.cfg.Method)
 	}
-	kernel := string(r.cfg.Kernel)
-	if man.Kernel != "" {
-		kernel = man.Kernel
+	if kernel == "" {
+		kernel = string(r.cfg.Kernel)
 	}
 	if err := m.SetKernel(kernel); err != nil {
 		return nil, fmt.Errorf("registry: %s/%s: %w", model, version, err)
@@ -536,14 +621,7 @@ func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error
 	m.AttachTelemetry(r.cfg.Metrics, nil)
 	//lint:ignore determinism resident-since metadata: reported on /v1/models, never reaches model state
 	now := time.Now()
-	return &Snapshot{
-		Model:    m,
-		Info:     info,
-		Name:     model,
-		Version:  version,
-		Manifest: man,
-		LoadedAt: now,
-	}, nil
+	return &Snapshot{Model: m, Info: info, Name: model, Version: version, LoadedAt: now}, nil
 }
 
 // enforceBoundsLocked evicts LRU-tail entries until the resident cache

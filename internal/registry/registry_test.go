@@ -123,7 +123,7 @@ func buildRegFixture() (*regFixture, error) {
 	return f, nil
 }
 
-func getRegFixture(t *testing.T) *regFixture {
+func getRegFixture(t testing.TB) *regFixture {
 	t.Helper()
 	regFixOnce.Do(func() { regFix, regFixErr = buildRegFixture() })
 	if regFixErr != nil {

@@ -8,33 +8,32 @@ import (
 	"time"
 
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/telemetry"
 )
 
 // Config parameterises one classification server. The zero value of
 // every limit takes a serving-safe default; exactly one of ModelPath
-// (single-model mode) and ModelsDir (registry mode) is required.
+// and ModelsDir is required.
 type Config struct {
-	// ModelPath is the persisted snapshot (core.Model.Save output) the
-	// server loads at start and re-reads on every reload. Mutually
+	// ModelPath is a persisted snapshot (core.Model.Save output). The
+	// server loads it at start, serves it as the one-entry registry
+	// default/current and re-reads it on every reload. Mutually
 	// exclusive with ModelsDir.
 	ModelPath string
-	// ModelsDir switches the server into registry mode: the directory is
-	// a model registry (<dir>/<model>/<version>/snapshot.bin +
-	// manifest.json), classify requests may name a model and version,
-	// and reloads become registry rescans. Mutually exclusive with
-	// ModelPath.
+	// ModelsDir is a model registry directory
+	// (<dir>/<model>/<version>/snapshot.bin + manifest.json): classify
+	// requests may name a model and version, and reloads rescan it.
+	// Mutually exclusive with ModelPath.
 	ModelsDir string
 	// DefaultModel is the model an unnamed classify request resolves to
-	// in registry mode. When empty, a sole published model is the
+	// under ModelsDir. When empty, a sole published model is the
 	// implicit default; with several models, unnamed requests fail 400.
 	DefaultModel string
-	// Resident bounds how many models stay loaded at once in registry
-	// mode (default 4, 0 picks the default; use ResidentBytes for a
-	// size-based bound instead). Least-recently-used models are evicted
-	// from the cache — never out from under an in-flight request, which
-	// keeps its pinned snapshot.
+	// Resident bounds how many models stay loaded at once (default 4,
+	// 0 picks the default; use ResidentBytes for a size-based bound
+	// instead). Least-recently-used models are evicted from the cache —
+	// never out from under an in-flight request, which keeps its pinned
+	// snapshot.
 	Resident int
 	// ResidentBytes, when positive, bounds the summed snapshot sizes of
 	// resident models instead of (or in addition to) the count.
@@ -45,10 +44,9 @@ type Config struct {
 	// snapshot records.
 	Method featsel.Method
 	// Kernel selects the level-2 encode kernel applied to every loaded
-	// model: "float64" (the default, also the empty string), "float32"
-	// (the opt-in reduced-precision distance sweep) or "legacy" (the
-	// dense reference path). Runtime-only — the snapshot file is never
-	// affected.
+	// model: "float64" (the default, also the empty string) or "float32"
+	// (the opt-in reduced-precision distance sweep). Runtime-only — the
+	// snapshot file is never affected.
 	Kernel string
 	// Workers bounds concurrent classification jobs. Default
 	// GOMAXPROCS.
@@ -86,26 +84,17 @@ type Config struct {
 }
 
 func (c *Config) setDefaults() error {
-	if c.ModelPath == "" && c.ModelsDir == "" {
-		return fmt.Errorf("serve: one of Config.ModelPath or Config.ModelsDir is required")
+	if (c.ModelPath == "") == (c.ModelsDir == "") {
+		return fmt.Errorf("serve: exactly one of Config.ModelPath and Config.ModelsDir is required")
 	}
-	if c.ModelPath != "" && c.ModelsDir != "" {
-		return fmt.Errorf("serve: Config.ModelPath and Config.ModelsDir are mutually exclusive")
-	}
-	if c.ModelsDir == "" && (c.DefaultModel != "" || c.Resident != 0 || c.ResidentBytes != 0) {
-		return fmt.Errorf("serve: DefaultModel/Resident/ResidentBytes need Config.ModelsDir (registry mode)")
+	if c.ModelPath != "" && (c.DefaultModel != "" || c.Resident != 0 || c.ResidentBytes != 0) {
+		return fmt.Errorf("serve: DefaultModel/Resident/ResidentBytes need Config.ModelsDir")
 	}
 	if c.Resident < 0 || c.ResidentBytes < 0 {
 		return fmt.Errorf("serve: Resident and ResidentBytes must be >= 0")
 	}
-	if c.ModelsDir != "" && c.Resident == 0 {
+	if c.Resident == 0 {
 		c.Resident = 4
-	}
-	if c.Method != "" && !featsel.Known(c.Method) {
-		return fmt.Errorf("serve: unknown feature-selection method %q", c.Method)
-	}
-	if _, err := hsom.ParseKernel(c.Kernel); err != nil {
-		return fmt.Errorf("serve: %w", err)
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)

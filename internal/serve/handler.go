@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"temporaldoc/internal/corpus"
-	"temporaldoc/internal/registry"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -32,10 +31,10 @@ type ClassifyRequest struct {
 	ID        string             `json:"id,omitempty"`
 	Text      string             `json:"text,omitempty"`
 	Documents []ClassifyDocument `json:"documents,omitempty"`
-	// Model and Version select the serving model in registry mode; both
-	// default (empty model resolves to the configured or sole default,
-	// empty version to the model's latest). A single-model server only
-	// accepts its own synthetic names, SingleModelName/SingleModelVersion.
+	// Model and Version select the serving model; both default (empty
+	// model resolves to the configured or sole default, empty version to
+	// the model's latest). A snapshot-file server's only names are
+	// SingleModelName/SingleModelVersion.
 	Model   string `json:"model,omitempty"`
 	Version string `json:"version,omitempty"`
 	// Scores asks for per-category scores and thresholds decisions in
@@ -160,7 +159,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	// of cold requests never ties up scoring workers.
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 	defer cancel()
-	snap, status, err := s.resolveSnapshot(ctx, req.Model, req.Version)
+	snap, status, err := s.acquire(ctx, req.Model, req.Version)
 	if err != nil {
 		if status == http.StatusGatewayTimeout {
 			s.met.timeouts.Inc()
@@ -233,11 +232,11 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	tr.Finish(reqID, len(reqDocs), j.snap.Info.SHA256, http.StatusOK)
 }
 
-// HealthResponse is the GET /v1/healthz reply. In registry mode the
-// hash identifies the default model's latest published version without
-// loading it; Model and Version name it. With no resolvable default
-// (several models, none configured) the identity fields stay empty —
-// the server is still healthy, it just has no single identity.
+// HealthResponse is the GET /v1/healthz reply. The hash identifies the
+// default model's latest version without loading it; Model and Version
+// name it. With no resolvable default (several models, none configured)
+// the identity fields stay empty — the server is still healthy, it just
+// has no single identity.
 type HealthResponse struct {
 	Status    string `json:"status"`
 	ModelHash string `json:"model_hash"`
@@ -251,37 +250,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := HealthResponse{Status: "ok"}
-	if s.registry != nil {
-		if model, version, sha, ok := s.registry.DefaultVersionInfo(); ok {
-			resp.Model, resp.Version, resp.ModelHash = model, version, sha
-		}
-	} else {
-		resp.Model, resp.Version = SingleModelName, SingleModelVersion
-		resp.ModelHash = s.handle.Current().Info.SHA256
-	}
+	resp.Model, resp.Version, resp.ModelHash, _ = s.registry.DefaultVersionInfo()
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// ModelzResponse is the GET /v1/modelz reply in single-model mode: the
-// serving model's identity plus a point-in-time telemetry snapshot.
+// ModelzResponse is the GET /v1/modelz reply: the default model's
+// snapshot hash, the catalog (the /v1/models view) and a point-in-time
+// telemetry snapshot.
 type ModelzResponse struct {
-	Mode          string         `json:"mode"`
-	ModelHash     string         `json:"model_hash"`
-	SnapshotPath  string         `json:"snapshot_path"`
-	SnapshotBytes int64          `json:"snapshot_bytes"`
-	LoadedAt      time.Time      `json:"loaded_at"`
-	FeatureMethod string         `json:"feature_method"`
-	Categories    []string       `json:"categories"`
-	Metrics       map[string]any `json:"metrics,omitempty"`
-}
-
-// RegistryModelzResponse is the GET /v1/modelz reply in registry mode:
-// the full catalog (the /v1/models view) plus the telemetry snapshot.
-type RegistryModelzResponse struct {
-	Mode         string                 `json:"mode"`
-	DefaultModel string                 `json:"default_model,omitempty"`
-	Models       []registry.ModelStatus `json:"models"`
-	Metrics      map[string]any         `json:"metrics,omitempty"`
+	ModelHash string `json:"model_hash"`
+	ModelsResponse
+	Metrics map[string]any `json:"metrics,omitempty"`
 }
 
 func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
@@ -289,85 +268,33 @@ func (s *Server) handleModelz(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	var metrics map[string]any
+	resp := ModelzResponse{ModelsResponse: s.modelsResponse()}
+	_, _, resp.ModelHash, _ = s.registry.DefaultVersionInfo()
 	if s.cfg.Metrics != nil {
 		ms := s.cfg.Metrics.Snapshot()
-		metrics = map[string]any{
+		resp.Metrics = map[string]any{
 			"counters":   ms.Counters,
 			"gauges":     ms.Gauges,
 			"histograms": ms.Histograms,
 		}
 	}
-	if s.registry != nil {
-		resp := RegistryModelzResponse{Mode: "registry", Models: s.registry.Models(), Metrics: metrics}
-		if def, ok := s.registry.Default(); ok {
-			resp.DefaultModel = def
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	snap := s.handle.Current()
-	writeJSON(w, http.StatusOK, ModelzResponse{
-		Mode:          "single",
-		ModelHash:     snap.Info.SHA256,
-		SnapshotPath:  snap.Info.Path,
-		SnapshotBytes: snap.Info.Bytes,
-		LoadedAt:      snap.LoadedAt,
-		FeatureMethod: string(snap.Model.FeatureMethod()),
-		Categories:    snap.Model.Categories(),
-		Metrics:       metrics,
-	})
+	writeJSON(w, http.StatusOK, resp)
 }
-
-// ReloadResponse is the POST /v1/reload reply in single-model mode.
-type ReloadResponse struct {
-	Mode         string `json:"mode"`
-	ModelHash    string `json:"model_hash"`
-	PreviousHash string `json:"previous_hash"`
-	Changed      bool   `json:"changed"`
-}
-
-// RescanResponse is the POST /v1/reload reply in registry mode, where a
-// reload means re-reading the registry directory.
-type RescanResponse struct {
-	Mode string `json:"mode"`
-	registry.ScanStats
-}
-
-// errSingleModeRescan answers Rescan on a single-model server.
-var errSingleModeRescan = errors.New("serve: not in registry mode (rescan needs Config.ModelsDir)")
 
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	if s.registry != nil {
-		stats, err := s.registry.Scan()
-		if err != nil {
-			s.cfg.Log.Error("rescan failed", "dir", s.cfg.ModelsDir, "err", err)
-			writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		s.cfg.Log.Info("registry rescanned", "models", stats.Models, "versions", stats.Versions,
-			"skipped", stats.Skipped, "temp_dirs", stats.TempDirs)
-		writeJSON(w, http.StatusOK, RescanResponse{Mode: "registry", ScanStats: stats})
-		return
-	}
-	prev := s.handle.Current()
-	snap, err := s.handle.Reload()
+	resp, err := s.Reload()
 	if err != nil {
-		s.cfg.Log.Error("reload failed", "path", s.cfg.ModelPath, "err", err)
+		s.cfg.Log.Error("reload failed", "err", err)
 		writeError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	s.cfg.Log.Info("model reloaded", "sha256", snap.Info.SHA256, "bytes", snap.Info.Bytes)
-	writeJSON(w, http.StatusOK, ReloadResponse{
-		Mode:         "single",
-		ModelHash:    snap.Info.SHA256,
-		PreviousHash: prev.Info.SHA256,
-		Changed:      snap.Info.SHA256 != prev.Info.SHA256,
-	})
+	s.cfg.Log.Info("reloaded", "models", resp.Models, "versions", resp.Versions, "skipped", resp.Skipped,
+		"temp_dirs", resp.TempDirs, "sha256", resp.ModelHash, "changed", resp.Changed)
+	writeJSON(w, http.StatusOK, resp)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

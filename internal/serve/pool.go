@@ -9,6 +9,7 @@ import (
 
 	"temporaldoc/internal/core"
 	"temporaldoc/internal/corpus"
+	"temporaldoc/internal/registry"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -28,7 +29,7 @@ type job struct {
 	docs []corpus.Document
 	// snap is the model snapshot this job is pinned to, set by the
 	// handler before submit and never changed after.
-	snap *ModelSnapshot
+	snap *registry.Snapshot
 	// enqueued is stamped by submit; the worker turns it into the
 	// queue-wait stage duration on dequeue.
 	enqueued time.Time

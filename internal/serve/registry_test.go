@@ -98,9 +98,6 @@ func TestServeModelsSingleMode(t *testing.T) {
 	defer hs.Close()
 
 	mr := getModels(t, hs.URL)
-	if mr.Mode != "single" {
-		t.Errorf("mode %q, want single", mr.Mode)
-	}
 	if mr.DefaultModel != SingleModelName {
 		t.Errorf("default model %q, want %q", mr.DefaultModel, SingleModelName)
 	}
@@ -136,9 +133,6 @@ func TestServeRegistryListingAndResidency(t *testing.T) {
 	defer hs.Close()
 
 	mr := getModels(t, hs.URL)
-	if mr.Mode != "registry" {
-		t.Errorf("mode %q, want registry", mr.Mode)
-	}
 	if mr.DefaultModel != "" {
 		t.Errorf("default model %q, want empty (two models, none configured)", mr.DefaultModel)
 	}
@@ -288,17 +282,17 @@ func TestServeRescanPicksUpNewVersion(t *testing.T) {
 		t.Fatalf("pre-rescan v2: status %d, want 404: %s", resp.StatusCode, b)
 	}
 
-	// POST /v1/reload in registry mode is a rescan.
+	// POST /v1/reload is a rescan.
 	resp, b = postJSON(t, hs.URL+"/v1/reload", "")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload: status %d: %s", resp.StatusCode, b)
 	}
-	var rr RescanResponse
+	var rr ReloadResponse
 	if err := json.Unmarshal(b, &rr); err != nil {
 		t.Fatalf("decode rescan response: %v: %s", err, b)
 	}
-	if rr.Mode != "registry" || rr.Models != 2 || rr.Versions != 3 {
-		t.Errorf("rescan = %+v, want mode registry with 2 models / 3 versions", rr)
+	if rr.Models != 2 || rr.Versions != 3 {
+		t.Errorf("rescan = %+v, want 2 models / 3 versions", rr)
 	}
 
 	// v2 is now the latest: unversioned tenant-a requests resolve to it…

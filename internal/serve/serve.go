@@ -4,13 +4,11 @@
 //
 // Three design rules shape it:
 //
-//   - One pinned snapshot per request. Every request resolves its model
-//     snapshot exactly once — the atomically swappable handle in
-//     single-model mode, the registry's resident cache in registry mode
-//     — and scores its whole batch with it, so hot-reloads and cache
-//     evictions can land at any moment without a response ever mixing
-//     two models. Responses embed the snapshot's SHA-256 to make that
-//     provable end to end.
+//   - One pinned snapshot per request. Every request acquires its
+//     *registry.Snapshot exactly once and scores its whole batch with
+//     it, so hot-reloads and cache evictions can land at any moment
+//     without a response ever mixing two models. Responses embed the
+//     snapshot's SHA-256 to make that provable end to end.
 //   - Bounded concurrency with load shedding. Scoring runs on a fixed
 //     worker pool behind a bounded queue; when the queue is full the
 //     server answers 503 with Retry-After instead of stacking
@@ -19,13 +17,13 @@
 //     response itself: machines come from the model's pool, encodings
 //     from its cache, predictions land in one per-job buffer.
 //
-// Two serving modes share the API. Config.ModelPath serves one model
-// (hot-reloadable via SIGHUP or POST /v1/reload, exactly as before);
-// Config.ModelsDir serves a model registry — classify requests may name
-// a "model" (and "version"), cold models load lazily under single-flight
-// into an LRU of resident models, and reloads become registry rescans.
-// A single-model server presents itself as a one-entry registry on
-// GET /v1/models, so clients never need two shapes.
+// Every server serves an internal/registry catalog. Config.ModelsDir
+// is a registry directory: classify requests may name a "model" (and
+// "version"), and cold models load lazily under single-flight into an
+// LRU of resident models. Config.ModelPath is one snapshot file, which
+// the registry serves as the one-entry catalog default/current, loaded
+// at start. Either way SIGHUP and POST /v1/reload rescan: a directory
+// is re-read, a file reloaded and swapped in atomically.
 //
 // Endpoints:
 //
@@ -33,10 +31,11 @@
 //	                   optional "model" and "version" tenant selection
 //	GET  /v1/healthz   liveness plus the default model hash
 //	GET  /v1/models    registry catalog with resident/cold status
-//	GET  /v1/modelz    model identity and a telemetry snapshot
+//	GET  /v1/modelz    default model hash, the catalog and a telemetry
+//	                   snapshot
 //	GET  /v1/statz     per-stage latency percentiles, throughput, error
 //	                   rates, per-model request counts
-//	POST /v1/reload    re-read the snapshot file / rescan the registry
+//	POST /v1/reload    rescan the registry (re-read the snapshot file)
 //
 // Every request carries an id (client-supplied X-Request-ID or
 // generated), echoed on the response; a stage recorder splits each
@@ -59,10 +58,7 @@ import (
 // Server is one classification service instance. Create with New,
 // mount via Handler, stop with Close.
 type Server struct {
-	cfg Config
-	// Exactly one of handle (single-model mode) and registry (registry
-	// mode) is non-nil; resolveSnapshot dispatches on it.
-	handle   *Handle
+	cfg      Config
 	registry *registry.Registry
 	pool     *pool
 	pre      *textproc.Preprocessor
@@ -81,42 +77,35 @@ type serverMetrics struct {
 	panics   *telemetry.Counter
 }
 
-// New loads the model snapshot (or opens the model registry) and
-// assembles a ready-to-serve Server.
+// New opens the model registry (loading the snapshot file when
+// Config.ModelPath names one) and assembles a ready-to-serve Server.
 func New(cfg Config) (*Server, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
+	root := cfg.ModelPath + cfg.ModelsDir // setDefaults admits exactly one
+	reg, err := registry.Open(registry.Config{
+		Root:             root,
+		Default:          cfg.DefaultModel,
+		MaxResident:      cfg.Resident,
+		MaxResidentBytes: cfg.ResidentBytes,
+		Method:           cfg.Method,
+		Kernel:           hsom.Kernel(cfg.Kernel),
+		Metrics:          cfg.Metrics,
+	})
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:    cfg,
-		pre:    textproc.NewPreprocessor(textproc.Options{}),
-		stages: telemetry.NewStageRecorder(cfg.Metrics, "serve.stage", cfg.Trace, cfg.TraceSampleEvery),
-		stats:  newModelStats(),
+		cfg:      cfg,
+		registry: reg,
+		pre:      textproc.NewPreprocessor(textproc.Options{}),
+		stages:   telemetry.NewStageRecorder(cfg.Metrics, "serve.stage", cfg.Trace, cfg.TraceSampleEvery),
+		stats:    newModelStats(),
 		met: serverMetrics{
 			timeouts: cfg.Metrics.Counter("serve.timeouts"),
 			panics:   cfg.Metrics.Counter("serve.panics"),
 		},
-	}
-	if cfg.ModelsDir != "" {
-		reg, err := registry.Open(registry.Config{
-			Root:             cfg.ModelsDir,
-			Default:          cfg.DefaultModel,
-			MaxResident:      cfg.Resident,
-			MaxResidentBytes: cfg.ResidentBytes,
-			Method:           cfg.Method,
-			Kernel:           hsom.Kernel(cfg.Kernel),
-			Metrics:          cfg.Metrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.registry = reg
-	} else {
-		handle, err := OpenHandle(cfg.ModelPath, cfg.Method, hsom.Kernel(cfg.Kernel), cfg.Metrics)
-		if err != nil {
-			return nil, err
-		}
-		s.handle = handle
 	}
 	s.pool = newPool(cfg.Workers, cfg.QueueDepth, cfg.Metrics, s.stages, s.stats)
 	//lint:ignore determinism serving metadata: the start stamp only feeds /v1/statz uptime, never model state
@@ -134,19 +123,14 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("/v1/statz", mount("statz", s.handleStatz))
 	s.mux.Handle("/v1/reload", mount("reload", s.handleReload))
 	s.handler = withRequestID(s.mux)
-	if s.registry != nil {
-		models := s.registry.Models()
-		versions := 0
-		for _, m := range models {
-			versions += len(m.Versions)
-		}
-		cfg.Log.Info("registry opened", "dir", cfg.ModelsDir, "models", len(models), "versions", versions,
-			"resident_limit", cfg.Resident, "workers", cfg.Workers, "queue", cfg.QueueDepth)
-	} else {
-		info := s.handle.Current().Info
-		cfg.Log.Info("model loaded", "path", info.Path, "sha256", info.SHA256, "bytes", info.Bytes,
-			"workers", cfg.Workers, "queue", cfg.QueueDepth)
+	versions := 0
+	models := reg.Models()
+	for _, m := range models {
+		versions += len(m.Versions)
 	}
+	_, _, hash, _ := reg.DefaultVersionInfo()
+	cfg.Log.Info("models opened", "root", root, "models", len(models), "versions", versions,
+		"default_sha256", hash, "resident_limit", cfg.Resident, "workers", cfg.Workers, "queue", cfg.QueueDepth)
 	return s, nil
 }
 
@@ -154,38 +138,28 @@ func New(cfg Config) (*Server, error) {
 // wrapped in the request-id middleware).
 func (s *Server) Handler() http.Handler { return s.handler }
 
-// MultiTenant reports whether the server runs in registry mode.
-func (s *Server) MultiTenant() bool { return s.registry != nil }
-
-// Current returns the model snapshot serving right now in single-model
-// mode, nil in registry mode (where "current" is per-tenant — see
-// /v1/models).
-func (s *Server) Current() *ModelSnapshot {
-	if s.handle == nil {
-		return nil
-	}
-	return s.handle.Current()
+// ReloadResponse is the POST /v1/reload (and SIGHUP) result: what the
+// rescan accepted and skipped, plus the default model's snapshot hash
+// before and after it. Changed is false when a snapshot-file server
+// re-read identical bytes.
+type ReloadResponse struct {
+	registry.ScanStats
+	ModelHash    string `json:"model_hash"`
+	PreviousHash string `json:"previous_hash"`
+	Changed      bool   `json:"changed"`
 }
 
-// Reload refreshes the serving state: in single-model mode it re-reads
-// the snapshot file and swaps it in (previous model keeps serving on
-// error); in registry mode it rescans the registry and returns a nil
-// snapshot. Wired to SIGHUP and POST /v1/reload.
-func (s *Server) Reload() (*ModelSnapshot, error) {
-	if s.registry != nil {
-		_, err := s.registry.Scan()
-		return nil, err
+// Reload rescans the registry — for a snapshot-file server, re-reads
+// and swaps in the file. On error the previous catalog and resident
+// snapshots keep serving. Wired to SIGHUP and POST /v1/reload.
+func (s *Server) Reload() (ReloadResponse, error) {
+	_, _, prev, _ := s.registry.DefaultVersionInfo()
+	stats, err := s.registry.Scan()
+	if err != nil {
+		return ReloadResponse{}, err
 	}
-	return s.handle.Reload()
-}
-
-// Rescan re-reads the registry directory (registry mode's reload) and
-// reports what the scan accepted and skipped.
-func (s *Server) Rescan() (registry.ScanStats, error) {
-	if s.registry == nil {
-		return registry.ScanStats{}, errSingleModeRescan
-	}
-	return s.registry.Scan()
+	_, _, cur, _ := s.registry.DefaultVersionInfo()
+	return ReloadResponse{ScanStats: stats, ModelHash: cur, PreviousHash: prev, Changed: cur != prev}, nil
 }
 
 // Close drains the worker pool. Call after the HTTP listener has shut

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -19,6 +20,7 @@ import (
 	"temporaldoc/internal/featsel"
 	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/lgp"
+	"temporaldoc/internal/registry"
 	"temporaldoc/internal/reuters"
 	"temporaldoc/internal/telemetry"
 	"temporaldoc/internal/textproc"
@@ -388,16 +390,17 @@ func TestServeHealthzAndModelz(t *testing.T) {
 	if m.ModelHash != f.hashA {
 		t.Errorf("modelz hash %q, want %q", m.ModelHash, f.hashA)
 	}
-	if m.FeatureMethod != "df" {
-		t.Errorf("modelz feature_method %q, want df", m.FeatureMethod)
+	v := findVersion(t, m.ModelsResponse, SingleModelName, SingleModelVersion)
+	if v.FeatureMethod != "df" {
+		t.Errorf("modelz feature_method %q, want df", v.FeatureMethod)
 	}
-	if len(m.Categories) != len(f.modelA.Categories()) {
-		t.Errorf("modelz categories %v", m.Categories)
+	if len(v.Categories) != len(f.modelA.Categories()) {
+		t.Errorf("modelz categories %v", v.Categories)
 	}
 	if m.Metrics == nil {
 		t.Error("modelz metrics snapshot missing despite a live registry")
 	}
-	if m.LoadedAt.IsZero() {
+	if v.LoadedAt == nil || v.LoadedAt.IsZero() {
 		t.Error("modelz loaded_at is zero")
 	}
 }
@@ -489,84 +492,25 @@ func TestServeKernelConfig(t *testing.T) {
 		t.Fatal("server accepted an unknown kernel")
 	}
 	s := newTestServer(t, f.pathA, func(c *Config) { c.Kernel = "float32" })
-	if got := s.Current().Model.Kernel(); got != "float32" {
+	if got := current(t, s).Model.Kernel(); got != "float32" {
 		t.Fatalf("loaded model kernel = %q, want float32", got)
 	}
 	if _, err := s.Reload(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Current().Model.Kernel(); got != "float32" {
+	if got := current(t, s).Model.Kernel(); got != "float32" {
 		t.Fatalf("kernel lost across reload: %q", got)
 	}
 }
 
-// TestServeKernelParityWithLegacyOffline is the cross-kernel
-// byte-identity wall: the server on the default table+sparse kernel
-// must produce byte-identical predictions to offline classification on
-// the legacy dense reference path.
-func TestServeKernelParityWithLegacyOffline(t *testing.T) {
-	f := getFixture(t)
-	s := newTestServer(t, f.pathA, func(c *Config) {
-		c.MaxBatch = 100
-		c.MaxBodyBytes = 8 << 20
-	})
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-
-	// Offline reference: a fresh load of the same snapshot, forced onto
-	// the legacy kernel (f.modelA is shared fixture state — leave it be).
-	ref, _, err := core.LoadFile(f.pathA)
+// current acquires the snapshot an unnamed request is served by.
+func current(t *testing.T, s *Server) *registry.Snapshot {
+	t.Helper()
+	snap, err := s.registry.Acquire(context.Background(), "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetKernel("legacy"); err != nil {
-		t.Fatal(err)
-	}
-
-	const total, batch = 200, 100
-	var serverOut, offlineOut bytes.Buffer
-	for start := 0; start < total; start += batch {
-		var entries []string
-		for i := start; i < start+batch; i++ {
-			d := &f.corpus.Test[i%len(f.corpus.Test)]
-			entries = append(entries, fmt.Sprintf(`{"id":"doc-%d","text":%q}`, i, docText(d)))
-		}
-		resp, b := postJSON(t, hs.URL+"/v1/classify",
-			`{"documents":[`+strings.Join(entries, ",")+`],"scores":true}`)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch at %d: status %d: %s", start, resp.StatusCode, b)
-		}
-		for i, res := range decodeClassify(t, b).Results {
-			fmt.Fprintf(&serverOut, "doc-%d %v", start+i, res.Categories)
-			for _, p := range res.Predictions {
-				fmt.Fprintf(&serverOut, " %s=%v", p.Category, p.Score)
-			}
-			fmt.Fprintln(&serverOut)
-		}
-	}
-	pre := textproc.NewPreprocessor(textproc.Options{})
-	for i := 0; i < total; i++ {
-		d := &f.corpus.Test[i%len(f.corpus.Test)]
-		doc := corpus.Document{ID: fmt.Sprintf("doc-%d", i), Words: pre.Process(docText(d))}
-		preds, err := ref.ClassifyDoc(&doc, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cats := []string{}
-		for _, p := range preds {
-			if p.InClass {
-				cats = append(cats, p.Category)
-			}
-		}
-		fmt.Fprintf(&offlineOut, "doc-%d %v", i, cats)
-		for _, p := range preds {
-			fmt.Fprintf(&offlineOut, " %s=%v", p.Category, p.Score)
-		}
-		fmt.Fprintln(&offlineOut)
-	}
-	if !bytes.Equal(serverOut.Bytes(), offlineOut.Bytes()) {
-		t.Fatal("sparse-kernel server and legacy-kernel offline predictions differ")
-	}
+	return snap
 }
 
 // TestServeParityWithOffline is the acceptance check: a 1000-document

@@ -82,8 +82,8 @@ type StatzResponse struct {
 	Stages  map[string]StageStatz `json:"stages"`
 
 	// Models counts classified requests/documents per served model name
-	// (single-model servers count under SingleModelName). Omitted until
-	// the first classified job.
+	// (a snapshot-file server counts under SingleModelName). Omitted
+	// until the first classified job.
 	Models map[string]ModelStatz `json:"models,omitempty"`
 }
 
@@ -102,17 +102,9 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) statz() StatzResponse {
 	snap := s.cfg.Metrics.Snapshot()
 	uptime := time.Since(s.started).Seconds()
-	// In registry mode the identity hash is the default model's latest
-	// published version (empty when no default resolves); per-model
-	// traffic is in Models either way.
-	var modelHash string
-	if s.registry != nil {
-		if _, _, sha, ok := s.registry.DefaultVersionInfo(); ok {
-			modelHash = sha
-		}
-	} else {
-		modelHash = s.handle.Current().Info.SHA256
-	}
+	// The identity hash is the default model's latest version (empty
+	// when no default resolves); per-model traffic is in Models.
+	_, _, modelHash, _ := s.registry.DefaultVersionInfo()
 	resp := StatzResponse{
 		ModelHash:     modelHash,
 		UptimeSeconds: uptime,

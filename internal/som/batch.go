@@ -85,12 +85,13 @@ func (m *Map) TrainBatch(inputs [][]float64) error {
 			m.awc = append(m.awc, 0)
 		}
 		if m.cfg.Observer != nil {
+			dur := time.Since(epochStart) // before the sweep, as in Map.Train
 			m.cfg.Observer(EpochStats{
 				Epoch:      epoch,
 				AWC:        m.awc[len(m.awc)-1],
 				QuantError: m.QuantizationError(inputs),
 				Radius:     radius,
-				Duration:   time.Since(epochStart),
+				Duration:   dur,
 			})
 		}
 	}

@@ -435,13 +435,16 @@ func (m *Map) Train(inputs [][]float64) error {
 			m.awc = append(m.awc, 0)
 		}
 		if m.cfg.Observer != nil {
+			// Stop the clock before the quantisation-error sweep: Duration
+			// is the epoch's training time only.
+			dur := time.Since(epochStart)
 			m.cfg.Observer(EpochStats{
 				Epoch:        epoch,
 				AWC:          m.awc[len(m.awc)-1],
 				QuantError:   m.QuantizationError(inputs),
 				Radius:       lastRadius,
 				LearningRate: lastLR,
-				Duration:     time.Since(epochStart),
+				Duration:     dur,
 			})
 		}
 	}

@@ -68,7 +68,6 @@ echo "registry-smoke: server at $base"
 
 # --- catalog ---------------------------------------------------------
 catalog=$(curl -fsS "$base/v1/models")
-[ "$(jq -r .mode <<<"$catalog")" = "registry" ] || fail "models mode: $catalog"
 [ "$(jq '.models | length' <<<"$catalog")" = "2" ] || fail "models count: $catalog"
 # Two models and no configured default: unnamed requests must be rejected.
 [ "$(jq -r '.default_model // empty' <<<"$catalog")" = "" ] || fail "unexpected default: $catalog"
@@ -110,7 +109,6 @@ code=$(curl -s -o /dev/null -w '%{http_code}' -H 'Content-Type: application/json
 [ "$code" = "404" ] || fail "pre-rescan v2 got HTTP $code, want 404"
 
 rescan=$(curl -fsS -X POST "$base/v1/reload")
-[ "$(jq -r .mode <<<"$rescan")" = "registry" ] || fail "rescan mode: $rescan"
 [ "$(jq -r .models <<<"$rescan")" = "2" ] || fail "rescan model count: $rescan"
 [ "$(jq -r .versions <<<"$rescan")" = "3" ] || fail "rescan version count: $rescan"
 [ "$(jq -r .skipped <<<"$rescan")" = "0" ] || fail "rescan skipped versions: $rescan"

@@ -6,7 +6,8 @@
 # the four endpoints with curl and asserts the JSON fields scripted
 # clients depend on: model_hash consistency, classify results shape,
 # reload idempotence, modelz metadata. Finishes with a SIGTERM and
-# checks the drain exits cleanly.
+# checks the drain exits cleanly, then sends SIGTERM to a second server
+# the moment it announces its address and requires a clean exit too.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -82,17 +83,16 @@ reload=$(curl -fsS -X POST "$base/v1/reload")
 # --- modelz ----------------------------------------------------------
 modelz=$(curl -fsS "$base/v1/modelz")
 [ "$(jq -r .model_hash <<<"$modelz")" = "$hash" ] || fail "modelz hash: $modelz"
-[ "$(jq -r .feature_method <<<"$modelz")" = "df" ] || fail "modelz feature_method: $modelz"
-jq -e '.categories | length > 0' <<<"$modelz" >/dev/null || fail "modelz categories empty: $modelz"
+[ "$(jq -r '.models[0].versions[0].feature_method' <<<"$modelz")" = "df" ] || fail "modelz feature_method: $modelz"
+jq -e '.models[0].versions[0].categories | length > 0' <<<"$modelz" >/dev/null || fail "modelz categories empty: $modelz"
 jq -e '.metrics.counters["serve.docs"] >= 3' <<<"$modelz" >/dev/null || fail "modelz serve.docs counter: $modelz"
 jq -e '.metrics.counters["http.classify.requests"] >= 3' <<<"$modelz" >/dev/null || fail "modelz http counters: $modelz"
 
 # --- models ----------------------------------------------------------
-# A single-model server presents itself as a one-entry registry:
-# mode "single", one model named "default" whose only version is
-# "current", resident, latest, and carrying the served hash.
+# A snapshot-file server is a one-entry registry: one model named
+# "default" whose only version is "current", resident, latest, and
+# carrying the served hash.
 models=$(curl -fsS "$base/v1/models")
-[ "$(jq -r .mode <<<"$models")" = "single" ] || fail "models mode: $models"
 [ "$(jq -r .default_model <<<"$models")" = "default" ] || fail "models default_model: $models"
 [ "$(jq '.models | length' <<<"$models")" = "1" ] || fail "models count: $models"
 [ "$(jq -r '.models[0].name' <<<"$models")" = "default" ] || fail "models name: $models"
@@ -131,4 +131,22 @@ if ! wait "$server_pid"; then
   fail "server did not exit cleanly on SIGTERM"
 fi
 server_pid=""
+
+# --- SIGTERM right at startup ----------------------------------------
+# The signal handler must be installed before the address line is
+# printed: a SIGTERM sent the moment the line appears gets a drain and
+# exit status 0, never the default kill.
+"$dir/tdc" serve -model "$dir/model.json" -addr localhost:0 -drain 5s >"$dir/serve.out" 2>&1 &
+server_pid=$!
+for _ in $(seq 1 2000); do
+  grep -q '^serving on ' "$dir/serve.out" && break
+  kill -0 "$server_pid" 2>/dev/null || fail "second server exited during startup"
+  sleep 0.005
+done
+grep -q '^serving on ' "$dir/serve.out" || fail "second server never printed its address"
+kill -TERM "$server_pid"
+status=0
+wait "$server_pid" || status=$?
+server_pid=""
+[ "$status" = "0" ] || fail "SIGTERM right after startup: exit status $status, want 0"
 echo "serve-smoke: OK"
