@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-self lint-warm lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check fmt-check ci
+.PHONY: all build vet lint lint-seeded lint-baseline test race race-serve bench bench-encode bench-serve encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check fmt-check ci
 
 all: build
 
@@ -11,31 +11,22 @@ vet:
 	$(GO) vet ./...
 
 # tdlint is the repository's domain-specific static-analysis gate
-# (DESIGN.md §7, §8, §12, §13): fifteen analyzers covering determinism,
-# float-comparison hygiene, telemetry discipline, flush-error handling,
-# goroutine-spawn patterns, enum exhaustiveness, cross-package purity,
-# seed provenance, lock/channel discipline, and the serving layer's
-# concurrency contracts (atomic access models, snapshot pin-once,
-# goroutine termination, context flow). Findings subtract
-# tdlint.baseline; keep it empty.
-#
-# The run is incremental: results are content-addressed per (package,
-# analyzer) in os.UserCacheDir()/tdlint (DESIGN.md §13), so warm runs
-# only re-analyze what changed. This one invocation covers what used to
-# be a separate lint-self pass — the full suite runs over ./...,
-# internal/analysis included, and the engine eats its own dog food.
+# (DESIGN.md §7–8): nine analyzers guarding bit-deterministic training
+# (determinism, purity, seedflow), float-comparison hygiene, telemetry
+# discipline, flush-error handling, enum exhaustiveness, allocation-free
+# hot paths and atomic field access. One sequential, uncached run over
+# ./..., internal/analysis included. Findings subtract tdlint.baseline;
+# keep it empty.
 lint:
 	$(GO) run ./cmd/tdlint ./...
 
-# Historical alias: the self-lint of the analysis engine is part of
-# `lint` now that the cache makes one full-suite invocation cheap.
-lint-self: lint
-
-# Asserts the incremental cache actually bites: a warm run must report
-# zero misses and be at least 5x faster than a cold one, with findings
-# byte-identical cached vs. uncached and across -jobs values.
-lint-warm:
-	./scripts/lint_warm_smoke.sh
+# Proves the suite catches regressions in the real tree, not just in its
+# fixtures: on a copy of the tree, seeds a wall-clock RNG seed in
+# som.Map.Train, a plain write to an atomic telemetry field and a stale
+# suppression, one at a time, and requires tdlint to fail on each with
+# the expected check — the only check of cmd/tdlint's entry-point lists.
+lint-seeded:
+	./scripts/lint_seeded_smoke.sh
 
 # Regenerate the grandfathered-findings baseline. Prefer fixing
 # findings over baselining them; an empty baseline means a clean tree,
@@ -158,4 +149,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet lint lint-warm build test race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check
+ci: fmt-check vet lint lint-seeded build test race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke loadgen-smoke perfbench-check

@@ -111,7 +111,7 @@ func cmdServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := srv.HTTPServer()
 	// Signals are caught before the address is announced: a caller that
 	// sends SIGTERM as soon as it reads the line below gets a drain, not
 	// the default kill.

@@ -14,19 +14,8 @@
 //	-write-baseline   regenerate the baseline from the current findings
 //	-checks a,b,c     run only the named checks
 //	-list             print the available checks and exit
-//	-json             one JSON object per finding, one per line, with
-//	                  analyzer, position, message and suppression state
-//	                  (suppressed findings included, marked)
-//	-sarif            one SARIF 2.1.0 document on stdout (suppressed
-//	                  findings included as suppressed results); mutually
-//	                  exclusive with -json
-//	-jobs n           analyze up to n packages concurrently within a
-//	                  dependency level (default: number of CPUs)
-//	-cache dir        root of the incremental analysis cache (default
-//	                  os.UserCacheDir()/tdlint; "off" disables caching)
 //	-v                print a per-analyzer timing table (facts and run
-//	                  phases split out) and the cache hit/miss counters
-//	                  to stderr
+//	                  phases split out) to stderr
 //
 // Suppress a single finding with an in-source directive on the same
 // line or the line above (the reason is mandatory):
@@ -40,12 +29,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"temporaldoc/internal/analysis"
 	"temporaldoc/internal/analysis/analyzers"
 	"temporaldoc/internal/analysis/driver"
+	"temporaldoc/internal/analysis/load"
 )
 
 // telemetryPath is the import path of the real telemetry package the
@@ -56,7 +45,9 @@ const telemetryPath = "temporaldoc/internal/telemetry"
 // function matching one of these "pkg.Prefix" patterns must be provably
 // free of nondeterminism, transitively, across packages (see the purity
 // analyzer). The list names the paths that produce or apply persisted
-// model state.
+// model state. The analyzer fixtures configure their own entries, so
+// `make lint-seeded` is what checks this list and seedEntries against
+// the real tree.
 func trainingEntries() []string {
 	return []string{
 		"som.Train",   // Map.Train, Map.TrainBatch
@@ -100,17 +91,11 @@ func repoAnalyzers() []*analysis.Analyzer {
 		analyzers.FloatCmp(),
 		analyzers.TelemetrySafe(telemetryPath),
 		analyzers.ErrDrop(),
-		analyzers.LoopCapture(),
 		analyzers.Exhaustive(),
 		analyzers.Purity(trainingEntries(), assumePurePaths()),
 		analyzers.Seedflow(seedEntries()),
-		analyzers.LockCheck(),
-		analyzers.NilErr(),
 		analyzers.HotAlloc(),
 		analyzers.AtomicSafe(),
-		analyzers.GoLeak(),
-		analyzers.CtxFlow(),
-		analyzers.ChanDisc(),
 	}
 }
 
@@ -128,24 +113,6 @@ func repoExcludes() map[string][]string {
 	}
 }
 
-// resolveCacheDir turns the -cache flag into a driver CacheDir: "off"
-// (or a failed user-cache-dir lookup) disables caching, empty picks
-// the per-user default.
-func resolveCacheDir(flagValue string) string {
-	switch flagValue {
-	case "off":
-		return ""
-	case "":
-		base, err := os.UserCacheDir()
-		if err != nil {
-			return ""
-		}
-		return filepath.Join(base, "tdlint")
-	default:
-		return flagValue
-	}
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -155,16 +122,8 @@ func run() int {
 	writeBaseline := flag.Bool("write-baseline", false, "regenerate the baseline from current findings instead of failing")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default all)")
 	list := flag.Bool("list", false, "list available checks and exit")
-	jsonOut := flag.Bool("json", false, "emit one JSON object per finding (suppressed ones included, marked)")
-	sarifOut := flag.Bool("sarif", false, "emit one SARIF 2.1.0 document (suppressed findings included, marked)")
-	jobs := flag.Int("jobs", 0, "packages analyzed concurrently per dependency level (0: one per CPU)")
-	cacheDir := flag.String("cache", "", `incremental analysis cache directory (default os.UserCacheDir()/tdlint; "off" disables)`)
-	verbose := flag.Bool("v", false, "print per-analyzer facts/run timings and cache counters to stderr")
+	verbose := flag.Bool("v", false, "print per-analyzer facts/run timings to stderr")
 	flag.Parse()
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "tdlint: -json and -sarif are mutually exclusive")
-		return 2
-	}
 
 	all := repoAnalyzers()
 	if *list {
@@ -179,12 +138,9 @@ func run() int {
 		patterns = []string{"./..."}
 	}
 	opts := driver.Options{
-		BaselinePath:      *baseline,
-		WriteBaseline:     *writeBaseline,
-		Exclude:           repoExcludes(),
-		IncludeSuppressed: *jsonOut || *sarifOut,
-		Jobs:              *jobs,
-		CacheDir:          resolveCacheDir(*cacheDir),
+		BaselinePath:  *baseline,
+		WriteBaseline: *writeBaseline,
+		Exclude:       repoExcludes(),
 	}
 	if *verbose {
 		opts.Stats = driver.NewStats()
@@ -192,50 +148,28 @@ func run() int {
 	if *checks != "" {
 		opts.Checks = strings.Split(*checks, ",")
 	}
-	findings, err := driver.RunCached(".", patterns, all, opts)
+	res, err := load.Packages(".", patterns...)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "tdlint: %v\n", err)
+		return 2
+	}
+	findings, err := driver.Run(res, all, opts)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tdlint: %v\n", err)
 		return 2
 	}
 	if opts.Stats != nil {
 		fmt.Fprint(os.Stderr, opts.Stats.Table())
-		if line := opts.Stats.CacheLine(); line != "" {
-			fmt.Fprintln(os.Stderr, line)
-		}
 	}
 	if *writeBaseline {
 		fmt.Fprintf(os.Stderr, "tdlint: baseline written to %s\n", *baseline)
 		return 0
 	}
-	active := 0
 	for _, f := range findings {
-		if f.Active() {
-			active++
-		}
+		fmt.Println(f.String())
 	}
-	if *sarifOut {
-		doc, err := driver.SARIF(findings, all)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tdlint: %v\n", err)
-			return 2
-		}
-		fmt.Println(string(doc))
-	} else {
-		for _, f := range findings {
-			if *jsonOut {
-				line, err := f.JSON()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "tdlint: %v\n", err)
-					return 2
-				}
-				fmt.Println(string(line))
-			} else {
-				fmt.Println(f.String())
-			}
-		}
-	}
-	if active > 0 {
-		fmt.Fprintf(os.Stderr, "tdlint: %d finding(s)\n", active)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "tdlint: %d finding(s)\n", len(findings))
 		return 1
 	}
 	return 0

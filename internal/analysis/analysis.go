@@ -32,17 +32,6 @@ type Analyzer struct {
 	// Doc is a one-paragraph description of the invariant the check
 	// guards, shown by `tdlint -help`.
 	Doc string
-	// Version is the analyzer's cache-busting version string. It is
-	// folded into the incremental cache's action keys, so bumping it
-	// invalidates exactly this analyzer's cached results — bump it on
-	// any change to the analyzer's semantics (new patterns, changed
-	// messages, fixed false negatives). Empty behaves as "0".
-	Version string
-	// Config is a canonical fingerprint of per-instance configuration
-	// (entry-point lists, anchor package paths). Like Version it is
-	// folded into cache action keys, so a reconfigured analyzer never
-	// reads results computed under a different configuration.
-	Config string
 	// Facts, when non-nil, makes the analyzer interprocedural: the
 	// driver runs it once per package in dependency order, before any
 	// Run, to compute per-function summaries into pass.Facts. Each

@@ -27,10 +27,6 @@ func TestErrDrop(t *testing.T) {
 	analysistest.Run(t, testdata, analyzers.ErrDrop(), "tdfix/errdrop")
 }
 
-func TestLoopCapture(t *testing.T) {
-	analysistest.Run(t, testdata, analyzers.LoopCapture(), "tdfix/loopcapture")
-}
-
 func TestExhaustive(t *testing.T) {
 	analysistest.Run(t, testdata, analyzers.Exhaustive(), "tdfix/exhaustive")
 }
@@ -53,34 +49,12 @@ func TestSeedflow(t *testing.T) {
 		"tdfix/seedflow")
 }
 
-func TestLockCheck(t *testing.T) {
-	analysistest.Run(t, testdata, analyzers.LockCheck(), "tdfix/lockcheck")
-}
-
-func TestNilErr(t *testing.T) {
-	analysistest.Run(t, testdata, analyzers.NilErr(), "tdfix/nilerr")
-}
-
 func TestHotAlloc(t *testing.T) {
 	analysistest.Run(t, testdata, analyzers.HotAlloc(), "tdfix/hotalloc")
 }
 
 func TestAtomicSafe(t *testing.T) {
-	// Cross-package cases read tdfix/atomichelp's sealed field registry
-	// and pointer-pin facts.
+	// The cross-package case reads tdfix/atomichelp's sealed field
+	// registry.
 	analysistest.Run(t, testdata, analyzers.AtomicSafe(), "tdfix/atomicsafe")
-}
-
-func TestGoLeak(t *testing.T) {
-	// The two-hop and cross-package spawns resolve through
-	// tdfix/goleakhelp's sealed divergence facts.
-	analysistest.Run(t, testdata, analyzers.GoLeak(), "tdfix/goleak")
-}
-
-func TestCtxFlow(t *testing.T) {
-	analysistest.Run(t, testdata, analyzers.CtxFlow(), "tdfix/ctxflow")
-}
-
-func TestChanDisc(t *testing.T) {
-	analysistest.Run(t, testdata, analyzers.ChanDisc(), "tdfix/chandisc")
 }

@@ -26,8 +26,7 @@ import (
 //     changes result bits run to run. Iterate sorted keys instead.
 func Determinism() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "determinism",
-		Version: "1",
+		Name: "determinism",
 		Doc: "flags shared-global RNG use, wall-clock reads outside duration telemetry, " +
 			"and order-dependent floating-point work inside map iteration",
 		Run: runDeterminism,

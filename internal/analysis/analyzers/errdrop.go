@@ -24,10 +24,9 @@ import (
 //     descriptor has nothing left to commit.
 func ErrDrop() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "errdrop",
-		Version: "1",
-		Doc:     "flags discarded errors from Close/Flush/Sync/Write on writers in statement or defer position",
-		Run:     runErrDrop,
+		Name: "errdrop",
+		Doc:  "flags discarded errors from Close/Flush/Sync/Write on writers in statement or defer position",
+		Run:  runErrDrop,
 	}
 }
 

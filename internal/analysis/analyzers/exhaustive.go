@@ -24,10 +24,9 @@ import (
 // expression are skipped.
 func Exhaustive() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "exhaustive",
-		Version: "1",
-		Doc:     "flags switches over enum-like constant sets that miss members and have no default",
-		Run:     runExhaustive,
+		Name: "exhaustive",
+		Doc:  "flags switches over enum-like constant sets that miss members and have no default",
+		Run:  runExhaustive,
 	}
 }
 

@@ -29,10 +29,9 @@ import (
 // bit-identity is the actual intent.
 func FloatCmp() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "floatcmp",
-		Version: "1",
-		Doc:     "flags exact ==/!= on floats outside epsilon helpers, zero guards and NaN tests",
-		Run:     runFloatCmp,
+		Name: "floatcmp",
+		Doc:  "flags exact ==/!= on floats outside epsilon helpers, zero guards and NaN tests",
+		Run:  runFloatCmp,
 	}
 }
 

@@ -34,8 +34,7 @@ const hotDirective = "tdlint:hotpath"
 // must not.
 func HotAlloc() *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "hotalloc",
-		Version: "1",
+		Name: "hotalloc",
 		Doc: "//tdlint:hotpath functions must not allocate per call: no escaping composite " +
 			"literals, no capturing closures, no unpreallocated append growth, no interface boxing",
 		Run: runHotAlloc,
@@ -190,9 +189,6 @@ func preallocated(pass *analysis.Pass, decl *ast.FuncDecl, obj types.Object) boo
 // checkCallBoxing flags concrete values passed where the callee takes
 // an interface: the value is copied to the heap to fit.
 func checkCallBoxing(pass *analysis.Pass, call *ast.CallExpr) {
-	if _, isMutex := asMutexOp(pass, call); isMutex {
-		return
-	}
 	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return // conversions, builtins

@@ -36,9 +36,7 @@ import (
 func Purity(entries []string, assumePure []string) *analysis.Analyzer {
 	p := &purity{entries: entries, assumePure: assumePure}
 	return &analysis.Analyzer{
-		Name:    "purity",
-		Version: "1",
-		Config:  strings.Join(entries, ",") + "|" + strings.Join(assumePure, ","),
+		Name: "purity",
 		Doc: "training-path entry points must not transitively reach global RNG, wall-clock reads " +
 			"or map-order float accumulation (opt-out: //tdlint:impure <reason>)",
 		Facts: p.facts,

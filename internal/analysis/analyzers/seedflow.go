@@ -39,9 +39,7 @@ import (
 func Seedflow(entries []string) *analysis.Analyzer {
 	s := &seedflow{entries: entries}
 	return &analysis.Analyzer{
-		Name:    "seedflow",
-		Version: "1",
-		Config:  strings.Join(entries, ","),
+		Name: "seedflow",
 		Doc: "training-path entry points must not reach RNG constructions seeded from time.Now, " +
 			"the global RNG, or untraceable values (opt-out: //tdlint:seeded <reason>)",
 		Facts: s.facts,

@@ -31,9 +31,7 @@ import (
 // so fixtures can exercise it against a stand-in package.
 func TelemetrySafe(telemetryPath string) *analysis.Analyzer {
 	return &analysis.Analyzer{
-		Name:    "telemetrysafe",
-		Version: "1",
-		Config:  telemetryPath,
+		Name: "telemetrysafe",
 		Doc: "flags telemetry-type literals bypassing the nil-safe registry, registry lookups " +
 			"in loops or with dynamic names, and capturing closures passed to telemetry APIs",
 		Run: func(pass *analysis.Pass) error {

@@ -1,22 +1,9 @@
 // Package atomichelp seeds atomic-managed state in a *different*
-// package, so the atomicsafe fixture exercises both fact families —
-// the field registry and the pointer-pin summaries — across a package
-// boundary through sealed blobs.
+// package, so the atomicsafe fixture exercises the field registry
+// across a package boundary through sealed blobs.
 package atomichelp
 
 import "sync/atomic"
-
-// Handle is the snapshot-holder archetype: an atomic.Pointer swapped
-// by a reloader, pinned by request flows.
-type Handle struct {
-	Cur atomic.Pointer[int]
-}
-
-// Current pins the snapshot once; callers that call it twice in one
-// flow split the flow across generations.
-func (h *Handle) Current() *int {
-	return h.Cur.Load()
-}
 
 // Legacy manages a plain int64 through sync/atomic package functions —
 // the pre-Go-1.19 style. Registration happens here, in the declaring

@@ -1,8 +1,6 @@
 // Fixture for the atomicsafe analyzer: plain accesses to atomic-managed
-// fields (declared atomic.* types and sync/atomic-managed plain fields,
-// same-package and imported), and snapshot pin-once violations (direct,
-// through a same-package helper, and through an imported package's
-// sealed facts).
+// fields — declared atomic.* types and sync/atomic-managed plain
+// fields, same-package and imported.
 package atomicsafe
 
 import (
@@ -38,47 +36,6 @@ func resetAtomic(c *counter) {
 
 func readAtomic(c *counter) int64 {
 	return c.hits.Load() // allowed: the atomic API
-}
-
-// handle is the same-package snapshot holder.
-type handle struct {
-	cur atomic.Pointer[int]
-}
-
-func loadOnce(h *handle) *int {
-	return h.cur.Load()
-}
-
-func doubleLoad(h *handle) int { // want "doubleLoad loads atomic snapshot atomicsafe.handle.cur 2 times in one flow"
-	a := *h.cur.Load()
-	b := *h.cur.Load()
-	return a + b
-}
-
-func indirectDouble(h *handle) int { // want "indirectDouble loads atomic snapshot atomicsafe.handle.cur 2 times"
-	a := *loadOnce(h)
-	b := *h.cur.Load()
-	return a + b
-}
-
-// pinned loads once and passes the snapshot down: the blessed shape.
-func pinned(h *handle) int {
-	p := h.cur.Load()
-	return use(p)
-}
-
-func use(p *int) int { return *p }
-
-// twoCrossLoads pins the imported handle twice, both times through the
-// helper package's accessor — visible only via sealed ptrloads facts.
-func twoCrossLoads(h *atomichelp.Handle) int { // want "twoCrossLoads loads atomic snapshot atomichelp.Handle.Cur 2 times"
-	a := *h.Current()
-	b := *h.Current()
-	return a + b
-}
-
-func oneCrossLoad(h *atomichelp.Handle) int {
-	return *h.Current()
 }
 
 // legacyPlainRead mixes access models across the package boundary: N is

@@ -27,7 +27,7 @@ import (
 )
 
 // Pkg is one loaded package, the subset of the loader's output the
-// builder needs (decoupled so cfg/callgraph stay importable from the
+// builder needs (decoupled so callgraph stays importable from the
 // framework without cycles).
 type Pkg struct {
 	Files []*ast.File
@@ -88,14 +88,6 @@ func Build(pkgs []Pkg) *Graph {
 // Node returns fn's node, or nil when fn was not declared in the
 // analyzed packages.
 func (g *Graph) Node(fn *types.Func) *Node { return g.nodes[fn] }
-
-// Decl returns fn's declaration, or nil.
-func (g *Graph) Decl(fn *types.Func) *ast.FuncDecl {
-	if n := g.nodes[fn]; n != nil {
-		return n.Decl
-	}
-	return nil
-}
 
 // Funcs returns every declared function, sorted by full name so
 // iteration order (and everything derived from it) is deterministic.

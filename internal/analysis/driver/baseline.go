@@ -52,22 +52,14 @@ func readBaseline(path string) (baseline, error) {
 	return b, nil
 }
 
-// apply absorbs active findings into the baseline, consuming one
-// baseline entry per match. Absorbed findings are dropped, or kept
-// marked SuppressedBaseline when keepSuppressed is set; findings
-// already suppressed by other means pass through untouched.
-func (b baseline) apply(findings []Finding, keepSuppressed bool) []Finding {
+// apply drops the findings the baseline absorbs, consuming one
+// baseline entry per match.
+func (b baseline) apply(findings []Finding) []Finding {
 	var out []Finding
 	for _, f := range findings {
-		if f.Active() {
-			key := baselineKey(f)
-			if b[key] > 0 {
-				b[key]--
-				if !keepSuppressed {
-					continue
-				}
-				f.Suppression = SuppressedBaseline
-			}
+		if key := baselineKey(f); b[key] > 0 {
+			b[key]--
+			continue
 		}
 		out = append(out, f)
 	}

@@ -7,31 +7,21 @@
 //
 // For interprocedural analyzers (those with a Facts phase) the driver
 // is also the dataflow conductor: it builds the whole-program call
-// graph once, then runs each analyzer's facts phase over the packages
-// in dependency order, sealing every package's facts into a serialized
-// blob before its importers run — the same shape in which the loader
-// shares compiled export data. Only then do the reporting passes run.
-//
-// RunCached adds the incremental layer on top: every (package,
-// analyzer) pair is addressed by a content hash of its inputs (see
-// keys.go), and pairs whose hash is already in the cache skip both
-// phases — their sealed fact blobs and diagnostics load from disk.
-// Packages for which every selected analyzer hits are not even parsed.
+// graph once, then analyzes the packages one at a time in dependency
+// order, sealing every package's facts into a serialized blob before
+// its importers run — the same shape in which the loader shares
+// compiled export data.
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"temporaldoc/internal/analysis"
-	"temporaldoc/internal/analysis/cache"
 	"temporaldoc/internal/analysis/callgraph"
 	"temporaldoc/internal/analysis/facts"
 	"temporaldoc/internal/analysis/load"
@@ -50,35 +40,16 @@ type Options struct {
 	Exclude map[string][]string
 	// Checks restricts the run to the named analyzers; empty runs all.
 	Checks []string
-	// IncludeSuppressed keeps findings silenced by a directive, a path
-	// exclude or the baseline in the result — marked with their
-	// Suppression state — instead of dropping them. Editor/CI
-	// integrations (-json) use this to show muted findings in place.
-	IncludeSuppressed bool
-	// Jobs bounds how many packages are analyzed concurrently within a
-	// dependency level; <= 0 means one worker per CPU.
-	Jobs int
 	// Stats, when non-nil, accumulates per-analyzer wall time across all
-	// phases and packages (cumulative over workers, so it reads as CPU
-	// time once packages run in parallel) plus the cache hit/miss
-	// counters.
+	// packages, split into facts and run phases.
 	Stats *Stats
-	// CacheDir roots the incremental analysis cache for RunCached;
-	// empty disables caching (Run ignores it entirely).
-	CacheDir string
 }
 
-// Stats accumulates per-analyzer time, split by phase so a cache hit's
-// saving is attributable (facts phases dominate for the
-// interprocedural analyzers), plus the incremental cache's counters.
-// Safe for concurrent use.
+// Stats accumulates per-analyzer time, split by phase (facts phases
+// dominate for the interprocedural analyzers).
 type Stats struct {
-	mu    sync.Mutex
 	facts map[string]time.Duration
 	run   map[string]time.Duration
-
-	hits, misses, invalidated int
-	cacheUsed                 bool
 }
 
 // NewStats returns an empty accumulator.
@@ -86,67 +57,9 @@ func NewStats() *Stats {
 	return &Stats{facts: map[string]time.Duration{}, run: map[string]time.Duration{}}
 }
 
-func (s *Stats) addFacts(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.facts[name] += d
-	s.mu.Unlock()
-}
-
-func (s *Stats) addRun(name string, d time.Duration) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.run[name] += d
-	s.mu.Unlock()
-}
-
-// countCache records one (package, analyzer) cache consultation.
-func (s *Stats) countCache(hit, invalidated bool) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.cacheUsed = true
-	switch {
-	case hit:
-		s.hits++
-	case invalidated:
-		s.invalidated++
-	default:
-		s.misses++
-	}
-	s.mu.Unlock()
-}
-
-// Cache returns the hit/miss/invalidated counters and whether a cache
-// was consulted at all. Invalidated units are misses that had an entry
-// under a different action key — stale, not cold.
-func (s *Stats) Cache() (hits, misses, invalidated int, used bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses, s.invalidated, s.cacheUsed
-}
-
-// CacheLine renders the counters as the one-line summary -v prints
-// ("" when no cache was consulted). The key=value shape is parsed by
-// scripts/lint_warm_smoke.sh.
-func (s *Stats) CacheLine() string {
-	hits, misses, invalidated, used := s.Cache()
-	if !used {
-		return ""
-	}
-	return fmt.Sprintf("cache: hits=%d misses=%d invalidated=%d", hits, misses, invalidated)
-}
-
 // Table renders one "analyzer facts run total" row per analyzer,
 // slowest total first (ties by name), for the -v timing report.
 func (s *Stats) Table() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	names := map[string]bool{}
 	for n := range s.facts {
 		names[n] = true
@@ -175,16 +88,17 @@ func (s *Stats) Table() string {
 	return b.String()
 }
 
-// Suppression states of a finding.
-const (
-	// SuppressedIgnore: silenced by a //lint:ignore or //lint:file-ignore
-	// directive.
-	SuppressedIgnore = "ignore"
-	// SuppressedExclude: silenced by a path-level policy exclude.
-	SuppressedExclude = "exclude"
-	// SuppressedBaseline: absorbed by the grandfathered baseline file.
-	SuppressedBaseline = "baseline"
-)
+func (s *Stats) addFacts(name string, d time.Duration) {
+	if s != nil {
+		s.facts[name] += d
+	}
+}
+
+func (s *Stats) addRun(name string, d time.Duration) {
+	if s != nil {
+		s.run[name] += d
+	}
+}
 
 // Finding is one surviving diagnostic, resolved to a position.
 type Finding struct {
@@ -193,14 +107,7 @@ type Finding struct {
 	// RelPath is the module-relative source path used in output and in
 	// the baseline file.
 	RelPath string
-	// Suppression is "" for an active finding, or one of the
-	// Suppressed* states when Options.IncludeSuppressed kept a silenced
-	// one.
-	Suppression string
 }
-
-// Active reports whether the finding still gates the build.
-func (f Finding) Active() bool { return f.Suppression == "" }
 
 // String renders the finding in the file:line:col: [check] message form
 // the Makefile target prints.
@@ -209,157 +116,44 @@ func (f Finding) String() string {
 		f.RelPath, f.Position.Line, f.Position.Column, f.Check, f.Message)
 }
 
-// JSON renders the finding as one line-oriented JSON object for the
-// -json output mode: analyzer, position, message, suppression state.
-func (f Finding) JSON() ([]byte, error) {
-	return json.Marshal(struct {
-		Analyzer    string `json:"analyzer"`
-		File        string `json:"file"`
-		Line        int    `json:"line"`
-		Col         int    `json:"col"`
-		Message     string `json:"message"`
-		Suppressed  bool   `json:"suppressed"`
-		Suppression string `json:"suppression,omitempty"`
-	}{
-		Analyzer:    f.Check,
-		File:        f.RelPath,
-		Line:        f.Position.Line,
-		Col:         f.Position.Column,
-		Message:     f.Message,
-		Suppressed:  !f.Active(),
-		Suppression: f.Suppression,
-	})
-}
-
-// suppressCheck is the pseudo-check name the per-package suppression
-// scan (directive index + lintdirective findings) is cached under.
-const suppressCheck = "#suppress"
-
-// pkgPlan is one target package's cache verdict: the action key per
-// check and the entries that hit. A package whose every selected check
-// (and suppression scan) hit is never parsed; a partially hit package
-// is loaded but only its missing checks run.
-type pkgPlan struct {
-	meta *load.MetaPkg
-	// keys maps check name → action key ("" marks an uncacheable
-	// package: results are computed live and never written).
-	keys map[string]string
-	// hits maps check name → the cached entry.
-	hits map[string]*cache.Entry
-	// loaded records whether the package was parsed this run.
-	loaded bool
-}
-
-// cacheContext carries the incremental state through one RunCached
-// execution; nil means caching is off.
-type cacheContext struct {
-	store     *cache.Store
-	moduleDir string
-	// plans covers every target package, keyed by import path.
-	plans map[string]*pkgPlan
-}
-
-// Run applies the analyzers to every loaded package and returns the
-// findings that survive suppressions, path excludes and the baseline
-// (all findings, suppressed ones marked, under IncludeSuppressed),
-// sorted by position. When opts.WriteBaseline is set the surviving
-// findings are written to the baseline file instead and an empty slice
-// is returned.
+// Run applies the selected analyzers to every loaded package and
+// returns the findings that survive suppressions, path excludes and the
+// baseline, sorted by position. Suppression directives are validated
+// against the whole suite in analyzers, not only the opts.Checks
+// subset. When opts.WriteBaseline is set the surviving findings are
+// written to the baseline file instead and an empty slice is returned.
 func Run(res *load.Result, analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
 	selected, err := selectAnalyzers(analyzers, opts.Checks)
 	if err != nil {
 		return nil, err
 	}
-	return execute(res, selected, opts, nil)
-}
-
-// execute is the shared core of Run and RunCached: analyze the loaded
-// packages (honoring the cache plans when cc is non-nil), merge in
-// cached diagnostics, and resolve suppressions, excludes and the
-// baseline.
-func execute(res *load.Result, selected []*analysis.Analyzer, opts Options, cc *cacheContext) ([]Finding, error) {
-	var mu sync.Mutex
 	var diags []analysis.Diagnostic
-	report := func(d analysis.Diagnostic) {
-		mu.Lock()
-		diags = append(diags, d)
-		mu.Unlock()
+	report := func(d analysis.Diagnostic) { diags = append(diags, d) }
+
+	suite := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		suite[a.Name] = true
+	}
+	sup := newSuppressions()
+	for _, pkg := range res.Packages {
+		for _, f := range pkg.Files {
+			sup.indexFile(res.Fset, f, suite, report)
+		}
 	}
 
-	// Interprocedural context: the call graph is shared; each analyzer
-	// with a facts phase gets its own store, filled package by package
-	// in dependency order and sealed before importers read it. Cached
-	// packages contribute their sealed blobs straight from disk.
+	// Each analyzer with a facts phase gets its own store, filled
+	// package by package in dependency order: a package's facts are
+	// sealed before any importer's facts or run phase reads them.
 	graph := buildGraph(res)
-	order := load.DependencyOrder(res.Packages)
 	stores := map[string]*facts.Store{}
 	for _, a := range selected {
 		if a.Facts != nil {
 			stores[a.Name] = facts.NewStore()
 		}
 	}
-	if cc != nil {
-		for _, path := range sortedPlanPaths(cc.plans) {
-			plan := cc.plans[path]
-			for _, a := range selected {
-				if a.Facts == nil {
-					continue
-				}
-				if e, ok := plan.hits[a.Name]; ok && len(e.Facts) > 0 {
-					if err := stores[a.Name].Import(path, e.Facts); err != nil {
-						return nil, fmt.Errorf("%s: %v", a.Name, err)
-					}
-				}
-			}
-		}
-	}
-
-	// Suppression directives index before any analysis, so malformed
-	// directives report deterministically regardless of scheduling. The
-	// per-package lintdirective findings are kept addressable so cache
-	// entries can carry them.
-	sup := newSuppressions()
-	dirDiags := map[string][]analysis.Diagnostic{}
-	for _, pkg := range res.Packages {
-		for _, f := range pkg.Files {
-			sup.indexFile(res.Fset, f, func(d analysis.Diagnostic) {
-				dirDiags[pkg.ImportPath] = append(dirDiags[pkg.ImportPath], d)
-				report(d)
-			})
-		}
-	}
-
-	// Packages are analyzed level by level: a package's level is one
-	// past the deepest of its in-set imports, so everything a package's
-	// facts or run phase reads — its imports' sealed blobs — was sealed
-	// at an earlier level (or imported from cache before the levels
-	// started), and packages within a level are mutually independent and
-	// run concurrently. Each worker runs one package end to end (every
-	// facts phase in its own store view, sealed, then every run phase),
-	// which keeps the facts-before-importers invariant without a global
-	// barrier between the phases.
-	jobs := opts.Jobs
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
-	}
-	for _, level := range dependencyLevels(order) {
-		errs := make([]error, len(level))
-		sem := make(chan struct{}, jobs)
-		var wg sync.WaitGroup
-		for i, pkg := range level {
-			wg.Add(1)
-			go func(i int, pkg *load.Package) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				errs[i] = analyzePackage(res, graph, stores, selected, opts.Stats, report, sup, cc, dirDiags[pkg.ImportPath], pkg)
-			}(i, pkg)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	for _, pkg := range load.DependencyOrder(res.Packages) {
+		if err := analyzePackage(res, graph, stores, selected, opts.Stats, report, pkg); err != nil {
+			return nil, err
 		}
 	}
 
@@ -367,20 +161,10 @@ func execute(res *load.Result, selected []*analysis.Analyzer, opts Options, cc *
 	for _, d := range diags {
 		pos := d.Position(res.Fset)
 		rel := relPath(res.ModuleDir, pos.Filename)
-		f := Finding{Diagnostic: d, Position: pos, RelPath: rel}
-		switch {
-		case sup.suppressed(d.Check, pos):
-			f.Suppression = SuppressedIgnore
-		case excluded(opts.Exclude[d.Check], rel):
-			f.Suppression = SuppressedExclude
-		}
-		if !f.Active() && !opts.IncludeSuppressed {
+		if sup.suppressed(d.Check, pos) || excluded(opts.Exclude[d.Check], rel) {
 			continue
 		}
-		findings = append(findings, f)
-	}
-	if cc != nil {
-		findings = append(findings, cachedFindings(cc, selected, opts)...)
+		findings = append(findings, Finding{Diagnostic: d, Position: pos, RelPath: rel})
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -396,8 +180,6 @@ func execute(res *load.Result, selected []*analysis.Analyzer, opts Options, cc *
 		if a.Check != b.Check {
 			return a.Check < b.Check
 		}
-		// Message is the final tie-break so parallel collection order
-		// can never leak into the output.
 		return a.Message < b.Message
 	})
 
@@ -405,222 +187,53 @@ func execute(res *load.Result, selected []*analysis.Analyzer, opts Options, cc *
 		return findings, nil
 	}
 	if opts.WriteBaseline {
-		return nil, writeBaseline(opts.BaselinePath, active(findings))
+		return nil, writeBaseline(opts.BaselinePath, findings)
 	}
 	base, err := readBaseline(opts.BaselinePath)
 	if err != nil {
 		return nil, err
 	}
-	return base.apply(findings, opts.IncludeSuppressed), nil
-}
-
-// cachedFindings materializes the diagnostics of every cache hit:
-// analyzer entries for skipped pairs, plus the suppression
-// pseudo-entry's lintdirective findings for packages that were never
-// parsed (parsed packages re-indexed their directives live). In-source
-// suppression state comes baked into the entry; path excludes apply
-// fresh.
-func cachedFindings(cc *cacheContext, selected []*analysis.Analyzer, opts Options) []Finding {
-	var out []Finding
-	for _, path := range sortedPlanPaths(cc.plans) {
-		plan := cc.plans[path]
-		for _, a := range selected {
-			if e, ok := plan.hits[a.Name]; ok {
-				out = append(out, entryFindings(cc, e, opts)...)
-			}
-		}
-		if !plan.loaded {
-			if e, ok := plan.hits[suppressCheck]; ok {
-				out = append(out, entryFindings(cc, e, opts)...)
-			}
-		}
-	}
-	return out
-}
-
-// entryFindings converts one cache entry's diagnostics to findings.
-func entryFindings(cc *cacheContext, e *cache.Entry, opts Options) []Finding {
-	var out []Finding
-	for _, d := range e.Diags {
-		f := Finding{
-			Diagnostic: analysis.Diagnostic{Check: d.Check, Message: d.Message},
-			Position: token.Position{
-				Filename: filepath.Join(cc.moduleDir, filepath.FromSlash(d.File)),
-				Line:     d.Line,
-				Column:   d.Col,
-			},
-			RelPath: d.File,
-		}
-		switch {
-		case d.Suppressed:
-			f.Suppression = SuppressedIgnore
-		case excluded(opts.Exclude[d.Check], d.File):
-			f.Suppression = SuppressedExclude
-		}
-		if !f.Active() && !opts.IncludeSuppressed {
-			continue
-		}
-		out = append(out, f)
-	}
-	return out
-}
-
-// active filters to the findings that still gate the build.
-func active(findings []Finding) []Finding {
-	var out []Finding
-	for _, f := range findings {
-		if f.Active() {
-			out = append(out, f)
-		}
-	}
-	return out
+	return base.apply(findings), nil
 }
 
 // analyzePackage runs every selected analyzer over one package: facts
-// phases first (each in a fresh view of its analyzer's store, sealed
-// immediately), then run phases reading through the sealed blobs.
-// Analyzers whose cache entry hit are skipped entirely — their sealed
-// blob was imported up front and their diagnostics merge in from the
-// entry. Freshly computed (package, analyzer) results are written back
-// to the cache, suppression state resolved, so the next run can skip
-// them.
+// phases first, each sealed immediately, then run phases reading
+// through the sealed blobs.
 func analyzePackage(res *load.Result, graph *callgraph.Graph, stores map[string]*facts.Store,
-	selected []*analysis.Analyzer, stats *Stats, report func(analysis.Diagnostic),
-	sup *suppressions, cc *cacheContext, pkgDirDiags []analysis.Diagnostic, pkg *load.Package) error {
-	var plan *pkgPlan
-	if cc != nil {
-		plan = cc.plans[pkg.ImportPath]
-	}
-	skip := func(a *analysis.Analyzer) bool {
-		if plan == nil {
-			return false
-		}
-		_, ok := plan.hits[a.Name]
-		return ok
-	}
-	local := map[string][]analysis.Diagnostic{}
-	capture := func(name string) func(analysis.Diagnostic) {
-		return func(d analysis.Diagnostic) {
-			local[name] = append(local[name], d)
-			report(d)
-		}
+	selected []*analysis.Analyzer, stats *Stats, report func(analysis.Diagnostic), pkg *load.Package) error {
+	newPass := func(a *analysis.Analyzer) *analysis.Pass {
+		pass := analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, report)
+		pass.Graph = graph
+		pass.Facts = stores[a.Name]
+		return pass
 	}
 	for _, a := range selected {
-		if a.Facts == nil || skip(a) {
+		if a.Facts == nil {
 			continue
 		}
-		view := stores[a.Name].View()
-		if err := view.Begin(pkg.ImportPath); err != nil {
+		store := stores[a.Name]
+		if err := store.Begin(pkg.ImportPath); err != nil {
 			return fmt.Errorf("%s: %v", a.Name, err)
 		}
-		pass := analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, capture(a.Name))
-		pass.Graph = graph
-		pass.Facts = view
 		t0 := time.Now()
-		err := a.Facts(pass)
+		err := a.Facts(newPass(a))
 		stats.addFacts(a.Name, time.Since(t0))
 		if err != nil {
 			return fmt.Errorf("%s: facts: %s: %v", a.Name, pkg.ImportPath, err)
 		}
-		if err := view.Seal(); err != nil {
+		if err := store.Seal(); err != nil {
 			return fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 		}
 	}
 	for _, a := range selected {
-		if skip(a) {
-			continue
-		}
-		pass := analysis.NewPass(a, res.Fset, pkg.Files, pkg.Types, pkg.Info, capture(a.Name))
-		pass.Graph = graph
-		pass.Facts = stores[a.Name]
 		t0 := time.Now()
-		err := a.Run(pass)
+		err := a.Run(newPass(a))
 		stats.addRun(a.Name, time.Since(t0))
 		if err != nil {
 			return fmt.Errorf("%s: %s: %v", a.Name, pkg.ImportPath, err)
 		}
 	}
-	if plan != nil {
-		writeEntries(res, stores, selected, sup, cc, plan, local, pkgDirDiags, pkg)
-	}
 	return nil
-}
-
-// writeEntries persists the freshly computed results of one package:
-// one entry per missed analyzer (fact blob + diagnostics) and the
-// suppression pseudo-entry (lintdirective findings). Write failures
-// are deliberately swallowed — a read-only or full cache directory
-// degrades to uncached operation, it does not fail the lint gate.
-func writeEntries(res *load.Result, stores map[string]*facts.Store, selected []*analysis.Analyzer,
-	sup *suppressions, cc *cacheContext, plan *pkgPlan,
-	local map[string][]analysis.Diagnostic, pkgDirDiags []analysis.Diagnostic, pkg *load.Package) {
-	put := func(check, key string, factBlob []byte, ds []analysis.Diagnostic) {
-		if key == "" {
-			return
-		}
-		e := &cache.Entry{Key: key, ImportPath: pkg.ImportPath, Check: check, Facts: factBlob}
-		for _, d := range ds {
-			pos := d.Position(res.Fset)
-			e.Diags = append(e.Diags, cache.Diag{
-				Check:      d.Check,
-				File:       relPath(res.ModuleDir, pos.Filename),
-				Line:       pos.Line,
-				Col:        pos.Column,
-				Message:    d.Message,
-				Suppressed: sup.suppressed(d.Check, pos),
-			})
-		}
-		_ = cc.store.Put(e)
-	}
-	for _, a := range selected {
-		if _, hit := plan.hits[a.Name]; hit {
-			continue
-		}
-		var blob []byte
-		if a.Facts != nil {
-			blob = stores[a.Name].Export(pkg.ImportPath)
-		}
-		put(a.Name, plan.keys[a.Name], blob, local[a.Name])
-	}
-	if _, hit := plan.hits[suppressCheck]; !hit {
-		put(suppressCheck, plan.keys[suppressCheck], nil, pkgDirDiags)
-	}
-}
-
-// sortedPlanPaths returns the plan keys in deterministic order.
-func sortedPlanPaths(plans map[string]*pkgPlan) []string {
-	paths := make([]string, 0, len(plans))
-	for p := range plans {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	return paths
-}
-
-// dependencyLevels slices a topologically ordered package list into
-// levels: level(p) = 1 + max level of p's in-set imports. Same-level
-// packages cannot import each other, so they analyze concurrently.
-func dependencyLevels(order []*load.Package) [][]*load.Package {
-	inSet := make(map[string]bool, len(order))
-	for _, p := range order {
-		inSet[p.ImportPath] = true
-	}
-	level := make(map[string]int, len(order))
-	var levels [][]*load.Package
-	for _, p := range order {
-		l := 0
-		for _, imp := range p.Types.Imports() {
-			if inSet[imp.Path()] && level[imp.Path()]+1 > l {
-				l = level[imp.Path()] + 1
-			}
-		}
-		level[p.ImportPath] = l
-		for len(levels) <= l {
-			levels = append(levels, nil)
-		}
-		levels[l] = append(levels[l], p)
-	}
-	return levels
 }
 
 // buildGraph adapts the loader's packages for the call-graph builder.

@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,288 +135,22 @@ func TestChecksFilter(t *testing.T) {
 	}
 }
 
-// TestIncludeSuppressed: with IncludeSuppressed every silenced finding
-// stays in the result carrying its suppression state, active findings
-// stay unmarked, and counts line up with the default (dropping) run.
-func TestIncludeSuppressed(t *testing.T) {
-	res := loadFixture(t)
-	all, err := driver.Run(res, suite(), driver.Options{IncludeSuppressed: true})
+// TestStaleSuppression: a directive naming a check outside the suite
+// is itself a lintdirective finding. Names are validated against the
+// whole suite, so a directive for a check that -checks left out of the
+// run stays quiet.
+func TestStaleSuppression(t *testing.T) {
+	res, err := load.Packages(filepath.Join("testdata", "stale"), "./...")
+	if err != nil {
+		t.Fatalf("loading stale fixture: %v", err)
+	}
+	findings, err := driver.Run(res, []*analysis.Analyzer{analyzers.Determinism(), analyzers.FloatCmp()},
+		driver.Options{Checks: []string{"floatcmp"}})
 	if err != nil {
 		t.Fatalf("driver.Run: %v", err)
 	}
-	activeOnly, err := driver.Run(res, suite(), driver.Options{})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	var active, ignored int
-	for _, f := range all {
-		switch f.Suppression {
-		case "":
-			active++
-		case driver.SuppressedIgnore:
-			ignored++
-		default:
-			t.Errorf("unexpected suppression state %q: %s", f.Suppression, f)
-		}
-	}
-	if active != len(activeOnly) {
-		t.Errorf("active findings = %d, want %d (same as the dropping run)", active, len(activeOnly))
-	}
-	// The fixture seeds suppressed findings (same-line, line-above,
-	// file-wide); all of them must now be visible.
-	if ignored < 3 {
-		t.Errorf("ignored findings = %d, want >= 3\n%s", ignored, render(all))
-	}
-
-	// Baseline absorption is a suppression state too.
-	base := filepath.Join(t.TempDir(), "tdlint.baseline")
-	if _, err := driver.Run(res, suite(), driver.Options{BaselinePath: base, WriteBaseline: true}); err != nil {
-		t.Fatalf("writing baseline: %v", err)
-	}
-	baselined, err := driver.Run(res, suite(), driver.Options{BaselinePath: base, IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("running against baseline: %v", err)
-	}
-	counts := map[string]int{}
-	for _, f := range baselined {
-		counts[f.Suppression]++
-	}
-	if counts[""] != 0 {
-		t.Errorf("active findings survived their own baseline:\n%s", render(baselined))
-	}
-	if counts[driver.SuppressedBaseline] != len(activeOnly) {
-		t.Errorf("baseline-suppressed = %d, want %d", counts[driver.SuppressedBaseline], len(activeOnly))
-	}
-}
-
-// TestFindingJSON: the -json mode contract — one object per finding
-// with analyzer, position, message and suppression state.
-func TestFindingJSON(t *testing.T) {
-	res := loadFixture(t)
-	findings, err := driver.Run(res, suite(), driver.Options{IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	if len(findings) == 0 {
-		t.Fatal("fixture produced no findings")
-	}
-	for _, f := range findings {
-		line, err := f.JSON()
-		if err != nil {
-			t.Fatalf("JSON(%s): %v", f, err)
-		}
-		var got struct {
-			Analyzer    string `json:"analyzer"`
-			File        string `json:"file"`
-			Line        int    `json:"line"`
-			Col         int    `json:"col"`
-			Message     string `json:"message"`
-			Suppressed  bool   `json:"suppressed"`
-			Suppression string `json:"suppression"`
-		}
-		if err := json.Unmarshal(line, &got); err != nil {
-			t.Fatalf("unmarshalling %s: %v", line, err)
-		}
-		if got.Analyzer != f.Check || got.File != f.RelPath || got.Line != f.Position.Line ||
-			got.Col != f.Position.Column || got.Message != f.Message {
-			t.Errorf("JSON fields drifted from finding: %s vs %s", line, f)
-		}
-		if got.Suppressed != !f.Active() || got.Suppression != f.Suppression {
-			t.Errorf("JSON suppression state drifted: %s (want suppressed=%v state=%q)",
-				line, !f.Active(), f.Suppression)
-		}
-		if strings.Contains(string(line), "\n") {
-			t.Errorf("JSON must be one line: %q", line)
-		}
-	}
-}
-
-// TestConcurrencySuppressions: the two suppression layers around the
-// concurrency analyzers, end to end through the driver. The concfix
-// fixture spawns three wedging goroutines: a bare one (must be
-// reported), one annotated //tdlint:background (the analyzer itself
-// stays silent — no finding even under IncludeSuppressed), and one
-// behind //lint:ignore (reported by the analyzer, silenced by the
-// driver, visible as state "ignore" under IncludeSuppressed).
-func TestConcurrencySuppressions(t *testing.T) {
-	res := loadFixture(t)
-	goleak := []*analysis.Analyzer{analyzers.GoLeak()}
-
-	findings, err := driver.Run(res, goleak, driver.Options{})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	if got := countByCheck(findings)["goleak"]; got != 1 {
-		t.Errorf("goleak findings = %d, want 1 (background and lint:ignore spawns must be silent)\n%s",
-			got, render(findings))
-	}
-
-	all, err := driver.Run(res, goleak, driver.Options{IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	var active, ignored int
-	for _, f := range all {
-		if f.Check != "goleak" {
-			continue
-		}
-		switch f.Suppression {
-		case "":
-			active++
-		case driver.SuppressedIgnore:
-			ignored++
-		default:
-			t.Errorf("unexpected suppression state %q: %s", f.Suppression, f)
-		}
-	}
-	if active != 1 || ignored != 1 {
-		t.Errorf("goleak active=%d ignored=%d, want 1 and 1 (//tdlint:background leaves no finding at all)\n%s",
-			active, ignored, render(all))
-	}
-
-	// atomicsafe and chandisc findings behind //lint:ignore: silenced by
-	// default, visible as state "ignore" under IncludeSuppressed.
-	concSuite := []*analysis.Analyzer{analyzers.AtomicSafe(), analyzers.ChanDisc()}
-	findings, err = driver.Run(res, concSuite, driver.Options{})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	for _, f := range findings {
-		if f.Check == "atomicsafe" || f.Check == "chandisc" {
-			t.Errorf("//lint:ignore'd finding leaked: %s", f)
-		}
-	}
-	all, err = driver.Run(res, concSuite, driver.Options{IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	got := map[string]int{}
-	for _, f := range all {
-		if f.Suppression == driver.SuppressedIgnore {
-			got[f.Check]++
-		}
-	}
-	if got["atomicsafe"] != 1 || got["chandisc"] != 1 {
-		t.Errorf("ignored atomicsafe=%d chandisc=%d, want 1 and 1\n%s",
-			got["atomicsafe"], got["chandisc"], render(all))
-	}
-}
-
-// TestParallelDeterminism: the level-scheduled parallel driver must
-// produce byte-identical output regardless of worker count.
-func TestParallelDeterminism(t *testing.T) {
-	res := loadFixture(t)
-	suite := []*analysis.Analyzer{analyzers.Determinism(), analyzers.GoLeak()}
-	serial, err := driver.Run(res, suite, driver.Options{Jobs: 1, IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	for i := 0; i < 3; i++ {
-		parallel, err := driver.Run(res, suite, driver.Options{Jobs: 8, IncludeSuppressed: true})
-		if err != nil {
-			t.Fatalf("parallel run: %v", err)
-		}
-		if render(serial) != render(parallel) {
-			t.Fatalf("parallel findings drifted from serial:\n--- jobs=1\n%s--- jobs=8\n%s",
-				render(serial), render(parallel))
-		}
-	}
-}
-
-// TestSARIFParity: the SARIF document carries exactly the findings the
-// -json mode would, with matching rules, positions and suppression
-// states — so CI consumers of either format see the same truth.
-func TestSARIFParity(t *testing.T) {
-	res := loadFixture(t)
-	suite := []*analysis.Analyzer{analyzers.Determinism(), analyzers.GoLeak()}
-	findings, err := driver.Run(res, suite, driver.Options{IncludeSuppressed: true})
-	if err != nil {
-		t.Fatalf("driver.Run: %v", err)
-	}
-	doc, err := driver.SARIF(findings, suite)
-	if err != nil {
-		t.Fatalf("SARIF: %v", err)
-	}
-	var log struct {
-		Schema  string `json:"$schema"`
-		Version string `json:"version"`
-		Runs    []struct {
-			Tool struct {
-				Driver struct {
-					Name  string `json:"name"`
-					Rules []struct {
-						ID string `json:"id"`
-					} `json:"rules"`
-				} `json:"driver"`
-			} `json:"tool"`
-			Results []struct {
-				RuleID    string `json:"ruleId"`
-				Message   struct{ Text string }
-				Locations []struct {
-					PhysicalLocation struct {
-						ArtifactLocation struct {
-							URI string `json:"uri"`
-						} `json:"artifactLocation"`
-						Region struct {
-							StartLine int `json:"startLine"`
-						} `json:"region"`
-					} `json:"physicalLocation"`
-				} `json:"locations"`
-				Suppressions []struct {
-					Kind string `json:"kind"`
-				} `json:"suppressions"`
-			} `json:"results"`
-		} `json:"runs"`
-	}
-	if err := json.Unmarshal(doc, &log); err != nil {
-		t.Fatalf("unmarshalling SARIF: %v", err)
-	}
-	if log.Version != "2.1.0" || !strings.Contains(log.Schema, "sarif-2.1.0") {
-		t.Errorf("wrong SARIF version/schema: %s %s", log.Version, log.Schema)
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("runs = %d, want 1", len(log.Runs))
-	}
-	run := log.Runs[0]
-	if run.Tool.Driver.Name != "tdlint" {
-		t.Errorf("tool name = %q, want tdlint", run.Tool.Driver.Name)
-	}
-	ruleIDs := map[string]bool{}
-	for _, r := range run.Tool.Driver.Rules {
-		ruleIDs[r.ID] = true
-	}
-	for _, a := range suite {
-		if !ruleIDs[a.Name] {
-			t.Errorf("rule table missing analyzer %q", a.Name)
-		}
-	}
-	if len(run.Results) != len(findings) {
-		t.Fatalf("results = %d, want %d (parity with -json findings)", len(run.Results), len(findings))
-	}
-	for i, f := range findings {
-		r := run.Results[i]
-		if r.RuleID != f.Check || r.Message.Text != f.Message {
-			t.Errorf("result %d drifted: %s/%q vs %s", i, r.RuleID, r.Message.Text, f)
-		}
-		if !ruleIDs[r.RuleID] {
-			t.Errorf("result %d rule %q missing from rule table", i, r.RuleID)
-		}
-		loc := r.Locations[0].PhysicalLocation
-		if loc.ArtifactLocation.URI != f.RelPath || loc.Region.StartLine != f.Position.Line {
-			t.Errorf("result %d location drifted: %s:%d vs %s", i, loc.ArtifactLocation.URI, loc.Region.StartLine, f)
-		}
-		if f.Active() != (len(r.Suppressions) == 0) {
-			t.Errorf("result %d suppression parity broken: active=%v sarif=%d", i, f.Active(), len(r.Suppressions))
-		}
-		if !f.Active() {
-			want := "external"
-			if f.Suppression == driver.SuppressedIgnore {
-				want = "inSource"
-			}
-			if r.Suppressions[0].Kind != want {
-				t.Errorf("result %d suppression kind = %q, want %q", i, r.Suppressions[0].Kind, want)
-			}
-		}
+	if len(findings) != 1 || findings[0].Check != "lintdirective" || !strings.Contains(findings[0].Message, `"nosuchcheck"`) {
+		t.Errorf("want exactly one lintdirective finding naming nosuchcheck, got:\n%s", render(findings))
 	}
 }
 

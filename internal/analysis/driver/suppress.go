@@ -1,6 +1,7 @@
 package driver
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -16,7 +17,9 @@ import (
 //	  checks for the whole file.
 //
 // The reason is mandatory: a directive without one is itself reported
-// (check "lintdirective"), so suppressions stay reviewable.
+// (check "lintdirective"), so suppressions stay reviewable. So is a
+// directive naming a check outside the suite: once its check is gone it
+// suppresses nothing and only misleads the reader.
 const (
 	ignorePrefix     = "lint:ignore "
 	fileIgnorePrefix = "lint:file-ignore "
@@ -38,17 +41,14 @@ func newSuppressions() *suppressions {
 	}
 }
 
-// lintDirective is the pseudo-analyzer malformed directives are
+// lintDirective is the pseudo-check malformed and stale directives are
 // reported under.
-var lintDirective = &analysis.Analyzer{
-	Name: "lintdirective",
-	Doc:  "lint:ignore directives must name at least one check and give a reason",
-}
+const lintDirective = "lintdirective"
 
 // indexFile scans one parsed file's comments for directives. Malformed
-// directives (no checks, or no reason) are reported rather than
-// silently ignored.
-func (s *suppressions) indexFile(fset *token.FileSet, f *ast.File, report func(analysis.Diagnostic)) {
+// directives (no checks, or no reason) and names outside the suite are
+// reported rather than silently ignored.
+func (s *suppressions) indexFile(fset *token.FileSet, f *ast.File, suite map[string]bool, report func(analysis.Diagnostic)) {
 	for _, group := range f.Comments {
 		for _, c := range group.List {
 			text := strings.TrimPrefix(c.Text, "//")
@@ -64,7 +64,7 @@ func (s *suppressions) indexFile(fset *token.FileSet, f *ast.File, report func(a
 			case strings.HasPrefix(text, "lint:"):
 				report(analysis.Diagnostic{
 					Pos:     c.Pos(),
-					Check:   lintDirective.Name,
+					Check:   lintDirective,
 					Message: "unrecognized lint directive (want lint:ignore or lint:file-ignore)",
 				})
 				continue
@@ -75,7 +75,7 @@ func (s *suppressions) indexFile(fset *token.FileSet, f *ast.File, report func(a
 			if names == "" || strings.TrimSpace(reason) == "" {
 				report(analysis.Diagnostic{
 					Pos:     c.Pos(),
-					Check:   lintDirective.Name,
+					Check:   lintDirective,
 					Message: "lint directive needs checks and a reason: //lint:ignore check1,check2 why",
 				})
 				continue
@@ -84,6 +84,14 @@ func (s *suppressions) indexFile(fset *token.FileSet, f *ast.File, report func(a
 			for _, name := range strings.Split(names, ",") {
 				name = strings.TrimSpace(name)
 				if name == "" {
+					continue
+				}
+				if !suite[name] {
+					report(analysis.Diagnostic{
+						Pos:     c.Pos(),
+						Check:   lintDirective,
+						Message: fmt.Sprintf("lint directive names %q, which is not a check of the suite; delete the stale suppression", name),
+					})
 					continue
 				}
 				if fileWide {

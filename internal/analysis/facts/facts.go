@@ -5,9 +5,7 @@
 // package, serializing its facts to a standalone blob exactly the way
 // the build caches export data. Downstream packages read upstream facts
 // only through sealed blobs — decoded on demand — so a summary that
-// would not survive serialization cannot leak between packages, and the
-// blobs could be cached per package alongside export data without any
-// API change.
+// would not survive serialization cannot leak between packages.
 package facts
 
 import (
@@ -15,7 +13,6 @@ import (
 	"fmt"
 	"go/types"
 	"sort"
-	"sync"
 )
 
 // Fact is one serialized entry: a named property of one function.
@@ -33,40 +30,23 @@ type Fact struct {
 
 type key struct{ fn, name string }
 
-// shared is the sealed-blob state every view of a store reads through.
-// The mutex makes concurrent Seal/Get safe, which is what lets the
-// driver run independent packages' facts phases in parallel: each
-// package works in its own view's open set and only synchronizes on the
-// sealed map — the same discipline the build cache applies to export
-// data.
-type shared struct {
-	mu      sync.Mutex
+// Store holds one analyzer's facts: an open working set for the package
+// currently being analyzed, plus sealed per-package blobs for every
+// package already finished.
+type Store struct {
+	openPkg string
+	open    map[key]string
 	sealed  map[string][]byte
 	decoded map[string]map[key]string
 }
 
-// Store holds one analyzer's facts: an open working set for the package
-// currently being analyzed, plus sealed per-package blobs for every
-// package already finished (shared between views).
-type Store struct {
-	sh      *shared
-	openPkg string
-	open    map[key]string
-}
-
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{sh: &shared{
+	return &Store{
 		sealed:  map[string][]byte{},
 		decoded: map[string]map[key]string{},
-	}}
+	}
 }
-
-// View returns a store that shares this store's sealed blobs but has
-// its own open working set, so independent packages can run Begin/Put/
-// Seal concurrently. Views and their parent are interchangeable for
-// reads.
-func (s *Store) View() *Store { return &Store{sh: s.sh} }
 
 // FuncID is the stable identifier facts are keyed by.
 func FuncID(fn *types.Func) string { return fn.FullName() }
@@ -107,9 +87,7 @@ func (s *Store) Get(fnID, name string) (detail string, ok bool) {
 			return d, true
 		}
 	}
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	for pkg, blob := range s.sh.sealed {
+	for pkg, blob := range s.sealed {
 		m, err := s.decode(pkg, blob)
 		if err != nil {
 			continue
@@ -137,45 +115,22 @@ func (s *Store) Seal() error {
 	if err != nil {
 		return err
 	}
-	s.sh.mu.Lock()
-	s.sh.sealed[s.openPkg] = blob
-	delete(s.sh.decoded, s.openPkg)
-	s.sh.mu.Unlock()
+	s.sealed[s.openPkg] = blob
+	delete(s.decoded, s.openPkg)
 	s.open, s.openPkg = nil, ""
 	return nil
 }
 
-// Export returns the sealed blob of pkgPath (nil when never sealed),
-// for callers that persist facts next to export data.
-func (s *Store) Export(pkgPath string) []byte {
-	s.sh.mu.Lock()
-	defer s.sh.mu.Unlock()
-	return s.sh.sealed[pkgPath]
-}
-
-// Import installs a previously exported blob for pkgPath, validating it
-// eagerly.
-func (s *Store) Import(pkgPath string, blob []byte) error {
-	if _, err := decodeBlob(blob); err != nil {
-		return fmt.Errorf("facts: importing %s: %v", pkgPath, err)
-	}
-	s.sh.mu.Lock()
-	s.sh.sealed[pkgPath] = blob
-	delete(s.sh.decoded, pkgPath)
-	s.sh.mu.Unlock()
-	return nil
-}
-
-// decode caches a blob's decoded map; callers hold sh.mu.
+// decode caches a blob's decoded map.
 func (s *Store) decode(pkg string, blob []byte) (map[key]string, error) {
-	if m, ok := s.sh.decoded[pkg]; ok {
+	if m, ok := s.decoded[pkg]; ok {
 		return m, nil
 	}
 	m, err := decodeBlob(blob)
 	if err != nil {
 		return nil, err
 	}
-	s.sh.decoded[pkg] = m
+	s.decoded[pkg] = m
 	return m, nil
 }
 

@@ -59,33 +59,6 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExportImport(t *testing.T) {
-	fns := fixtureFuncs(t, "package p\nfunc A() {}\n")
-	s := facts.NewStore()
-	if err := s.Begin("fix/p"); err != nil {
-		t.Fatal(err)
-	}
-	s.Put(fns["A"], "impure", "time.Now")
-	if err := s.Seal(); err != nil {
-		t.Fatal(err)
-	}
-	blob := s.Export("fix/p")
-	if len(blob) == 0 {
-		t.Fatal("empty export blob")
-	}
-
-	fresh := facts.NewStore()
-	if err := fresh.Import("fix/p", blob); err != nil {
-		t.Fatal(err)
-	}
-	if d, ok := fresh.Get(facts.FuncID(fns["A"]), "impure"); !ok || d != "time.Now" {
-		t.Fatalf("imported Get = %q, %v", d, ok)
-	}
-	if err := fresh.Import("fix/q", []byte("not json")); err == nil {
-		t.Fatal("importing garbage should fail")
-	}
-}
-
 func TestSealDeterministic(t *testing.T) {
 	fns := fixtureFuncs(t, "package p\nfunc A() {}\nfunc B() {}\nfunc C() {}\n")
 	blob := func() []byte {
@@ -99,7 +72,7 @@ func TestSealDeterministic(t *testing.T) {
 		if err := s.Seal(); err != nil {
 			t.Fatal(err)
 		}
-		return s.Export("fix/p")
+		return s.Sealed("fix/p")
 	}
 	a, b := blob(), blob()
 	if !bytes.Equal(a, b) {

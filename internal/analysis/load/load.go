@@ -5,13 +5,6 @@
 // and type-checks them with go/types against a gc-export-data importer.
 // This is the subset of golang.org/x/tools/go/packages that tdlint
 // needs, without the dependency.
-//
-// Loading is split into two phases so the incremental cache can decide
-// what to parse before paying for it: List fetches the `go list`
-// metadata (file lists, export-data paths, the import graph) and
-// Meta.Load parses and type-checks a chosen subset of the main-module
-// packages. Packages that the driver proves unchanged — their cache
-// action keys hit — are never parsed at all.
 package load
 
 import (
@@ -53,45 +46,12 @@ type Result struct {
 	ModuleDir string
 }
 
-// MetaPkg is the per-package `go list` metadata the cache layer reads:
-// enough to hash a package's inputs (sources, imports, export data)
-// without parsing anything.
-type MetaPkg struct {
-	ImportPath string
-	Dir        string
-	// GoFiles are the non-test sources, relative to Dir.
-	GoFiles []string
-	// Export is the compiled export-data file, when go list produced
-	// one.
-	Export string
-	// Imports are the direct imports, as import paths.
-	Imports []string
-	// Main marks a package of the main module — the analyzed set.
-	Main bool
-}
-
-// Meta is the listed-but-not-yet-loaded view of a pattern set.
-type Meta struct {
-	// ModuleDir is the main module root.
-	ModuleDir string
-	// Pkgs holds every package in the dependency closure, keyed by
-	// import path.
-	Pkgs map[string]*MetaPkg
-	// Targets are the main-module packages with sources — the set a
-	// full load would parse and type-check — sorted by import path.
-	Targets []*MetaPkg
-
-	dir string
-}
-
 // listPkg is the subset of `go list -json` output the loader reads.
 type listPkg struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
 	Export     string
-	Imports    []string
-	Standard   bool
 	Module     *struct {
 		Path string
 		Dir  string
@@ -104,7 +64,7 @@ type listPkg struct {
 func goList(dir string, patterns []string) ([]listPkg, error) {
 	args := []string{
 		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Dir,GoFiles,Export,Imports,Standard,Module,Error",
+		"-json=ImportPath,Dir,GoFiles,Export,Module,Error",
 	}
 	args = append(args, patterns...)
 	cmd := exec.Command("go", args...)
@@ -127,23 +87,6 @@ func goList(dir string, patterns []string) ([]listPkg, error) {
 		pkgs = append(pkgs, p)
 	}
 	return pkgs, nil
-}
-
-// Exports returns the import-path → export-data-file table for the
-// patterns and all of their dependencies. Tests use it to resolve
-// standard-library imports of fixture packages.
-func Exports(dir string, patterns ...string) (map[string]string, error) {
-	pkgs, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string, len(pkgs))
-	for _, p := range pkgs {
-		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
-		}
-	}
-	return exports, nil
 }
 
 // Importer returns a types.Importer that reads gc export data through
@@ -171,57 +114,37 @@ func NewInfo() *types.Info {
 	}
 }
 
-// List fetches `go list` metadata for the patterns rooted at dir
-// without parsing or type-checking anything.
-func List(dir string, patterns ...string) (*Meta, error) {
+// Packages loads, parses and type-checks the main-module packages
+// matched by patterns, rooted at dir. Dependencies (the standard
+// library included) come from compiled export data, so only the
+// analyzed sources are parsed.
+func Packages(dir string, patterns ...string) (*Result, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {
 		return nil, err
 	}
-	m := &Meta{Pkgs: make(map[string]*MetaPkg, len(pkgs)), dir: dir}
+	fset := token.NewFileSet()
+	res := &Result{Fset: fset}
+	exports := make(map[string]string, len(pkgs))
+	var targets []listPkg
 	for _, p := range pkgs {
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
-		mp := &MetaPkg{
-			ImportPath: p.ImportPath,
-			Dir:        p.Dir,
-			GoFiles:    p.GoFiles,
-			Export:     p.Export,
-			Imports:    p.Imports,
-			Main:       p.Module != nil && p.Module.Main,
-		}
-		m.Pkgs[mp.ImportPath] = mp
-		if mp.Main {
-			m.ModuleDir = p.Module.Dir
-			if len(mp.GoFiles) > 0 {
-				m.Targets = append(m.Targets, mp)
-			}
-		}
-	}
-	sort.Slice(m.Targets, func(i, j int) bool { return m.Targets[i].ImportPath < m.Targets[j].ImportPath })
-	return m, nil
-}
-
-// Load parses and type-checks the target packages for which only
-// returns true (nil loads every target). Dependencies — targets
-// excluded from the load included — resolve through compiled export
-// data, so skipping a target changes nothing for the packages that
-// import it.
-func (m *Meta) Load(only func(importPath string) bool) (*Result, error) {
-	exports := make(map[string]string, len(m.Pkgs))
-	for _, p := range m.Pkgs {
 		if p.Export != "" {
 			exports[p.ImportPath] = p.Export
 		}
-	}
-	fset := token.NewFileSet()
-	imp := Importer(fset, exports)
-	res := &Result{Fset: fset, ModuleDir: m.ModuleDir}
-	for _, p := range m.Targets {
-		if only != nil && !only(p.ImportPath) {
-			continue
+		if p.Module != nil && p.Module.Main {
+			res.ModuleDir = p.Module.Dir
+			if len(p.GoFiles) > 0 {
+				targets = append(targets, p)
+			}
 		}
+	}
+	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
+
+	imp := Importer(fset, exports)
+	for _, p := range targets {
 		files := make([]*ast.File, 0, len(p.GoFiles))
 		for _, name := range p.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, parser.ParseComments)
@@ -245,18 +168,6 @@ func (m *Meta) Load(only func(importPath string) bool) (*Result, error) {
 		})
 	}
 	return res, nil
-}
-
-// Packages loads, parses and type-checks the main-module packages
-// matched by patterns, rooted at dir. Dependencies (the standard
-// library included) come from compiled export data, so only the
-// analyzed sources are parsed.
-func Packages(dir string, patterns ...string) (*Result, error) {
-	m, err := List(dir, patterns...)
-	if err != nil {
-		return nil, err
-	}
-	return m.Load(nil)
 }
 
 // DependencyOrder topologically sorts pkgs so every package follows all

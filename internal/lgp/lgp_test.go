@@ -217,6 +217,46 @@ func TestRunSequenceEmpty(t *testing.T) {
 	}
 }
 
+// TestEmptySequenceKeepsDecode: a document with no member words yields
+// an empty sequence between width-2 ones; it must neither evict the
+// width-2 decode nor change any output.
+func TestEmptySequenceKeepsDecode(t *testing.T) {
+	p := &Program{Code: []Instruction{pack(ModeExternal, OpAdd, 0, 0)}}
+	seq := [][]float64{{1, 0}, {1, 0}}
+	last := func(xs []float64) float64 {
+		if len(xs) == 0 {
+			return 0
+		}
+		return xs[len(xs)-1]
+	}
+	runs := map[string]func(*Machine, [][]float64) float64{
+		"RunSequence": func(m *Machine, s [][]float64) float64 { return m.RunSequence(p, s) },
+		"RunSequenceNonRecurrent": func(m *Machine, s [][]float64) float64 {
+			return m.RunSequenceNonRecurrent(p, s)
+		},
+		"Trace": func(m *Machine, s [][]float64) float64 { return last(m.Trace(p, s)) },
+	}
+	for name, run := range runs {
+		want := run(NewMachine(8), seq)
+		m := NewMachine(8)
+		if got := run(m, seq); got != want {
+			t.Errorf("%s: width-2 output = %v, want %v", name, got, want)
+		}
+		if got := run(m, nil); got != 0 {
+			t.Errorf("%s: empty output = %v, want 0", name, got)
+		}
+		if m.progSrc != p || m.progNIn != 2 {
+			t.Errorf("%s: empty sequence replaced the width-2 decode (width now %d)", name, m.progNIn)
+		}
+		if got := run(m, seq); got != want {
+			t.Errorf("%s: width-2 output after empty = %v, want %v", name, got, want)
+		}
+	}
+	if tr := NewMachine(8).Trace(p, nil); tr == nil || len(tr) != 0 {
+		t.Errorf("Trace(empty) = %#v, want an empty non-nil slice", tr)
+	}
+}
+
 func TestTraceMatchesStepwise(t *testing.T) {
 	p := &Program{Code: []Instruction{pack(ModeExternal, OpAdd, 0, 0)}}
 	m := NewMachine(8)

@@ -153,23 +153,17 @@ func Squash(out float64) float64 {
 	return 2/(1+math.Exp(-out)) - 1
 }
 
-// seqWidth returns the input width the decode should specialise for: the
-// width of the first pattern (every pattern of a sequence has the same
-// width in this system; stepCompiled degrades gracefully if not).
-func seqWidth(seq [][]float64) int {
-	if len(seq) == 0 {
-		return 0
-	}
-	return len(seq[0])
-}
-
 // RunSequence resets the machine, presents each input vector of the
 // sequence in order (recurrent mode: registers persist between steps)
 // and returns the squashed output after the last step. An empty sequence
-// yields Squash(0) = 0.
+// yields Squash(0) = 0 without touching the decode cache, so a document
+// with no member words does not evict the decode its neighbours share.
 func (m *Machine) RunSequence(p *Program, seq [][]float64) float64 {
 	m.Reset()
-	m.compile(p, seqWidth(seq))
+	if len(seq) == 0 {
+		return Squash(m.Output())
+	}
+	m.compile(p, len(seq[0]))
 	for _, in := range seq {
 		if len(in) != m.progNIn {
 			m.compile(p, len(in))
@@ -184,7 +178,10 @@ func (m *Machine) RunSequence(p *Program, seq [][]float64) float64 {
 // squashed output after the final pattern.
 func (m *Machine) RunSequenceNonRecurrent(p *Program, seq [][]float64) float64 {
 	m.Reset()
-	m.compile(p, seqWidth(seq))
+	if len(seq) == 0 {
+		return Squash(m.Output())
+	}
+	m.compile(p, len(seq[0]))
 	for _, in := range seq {
 		m.Reset()
 		if len(in) != m.progNIn {
@@ -200,8 +197,11 @@ func (m *Machine) RunSequenceNonRecurrent(p *Program, seq [][]float64) float64 {
 // Figures 5 and 6.
 func (m *Machine) Trace(p *Program, seq [][]float64) []float64 {
 	m.Reset()
-	m.compile(p, seqWidth(seq))
 	out := make([]float64, len(seq))
+	if len(seq) == 0 {
+		return out
+	}
+	m.compile(p, len(seq[0]))
 	for i, in := range seq {
 		if len(in) != m.progNIn {
 			m.compile(p, len(in))

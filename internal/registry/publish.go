@@ -117,6 +117,5 @@ func Publish(root, model, version, srcPath string, opts PublishOptions) (Manifes
 	if err := os.Rename(tmp, dest); err != nil {
 		return fail(fmt.Errorf("registry: publish %s/%s: %w", model, version, err))
 	}
-	//lint:ignore nilerr the immutability gate's stat error is ErrNotExist by design on every path that reaches here
 	return man, nil
 }

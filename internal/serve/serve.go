@@ -138,6 +138,31 @@ func New(cfg Config) (*Server, error) {
 // wrapped in the request-id middleware).
 func (s *Server) Handler() http.Handler { return s.handler }
 
+// Transport limits of HTTPServer (DESIGN.md §9). They bound what a slow
+// or hostile client can hold before the worker pool's shedding ever
+// sees a request: a connection trickling its headers is closed after
+// readHeaderTimeout, a whole request must arrive within readTimeout,
+// and an idle keep-alive connection is closed after idleTimeout, far
+// above any gap on a busy keep-alive connection.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+	maxHeaderBytes    = 64 << 10
+)
+
+// HTTPServer returns an http.Server for Handler with the transport
+// limits above; the caller owns Serve and Shutdown.
+func (s *Server) HTTPServer() *http.Server {
+	return &http.Server{
+		Handler:           s.handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
+	}
+}
+
 // ReloadResponse is the POST /v1/reload (and SIGHUP) result: what the
 // rescan accepted and skipped, plus the default model's snapshot hash
 // before and after it. Changed is false when a snapshot-file server

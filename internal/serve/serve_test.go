@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -593,5 +595,86 @@ func copyFile(t *testing.T, src, dst string) {
 	}
 	if err := os.Rename(tmp, dst); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServeClosesTricklingClients: clients that trickle their headers
+// must neither starve other clients nor outlive the header timeout of
+// the http.Server that HTTPServer builds.
+func TestServeClosesTricklingClients(t *testing.T) {
+	f := getFixture(t)
+	s := newTestServer(t, f.pathA, nil)
+	const timeout = 2 * time.Second
+	ts := httptest.NewUnstartedServer(nil)
+	ts.Config = s.HTTPServer()
+	ts.Config.ReadHeaderTimeout = timeout
+	ts.Start()
+	defer ts.Close()
+
+	start := time.Now()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	conns := make([]net.Conn, 8)
+	for i := range conns {
+		c, err := net.Dial("tcp", ts.Listener.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if _, err := io.WriteString(c, "GET /v1/healthz HTTP/1.1\r\nHost: trickle\r\nX-Trickle: "); err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tick := time.NewTicker(100 * time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-stop:
+					return
+				case <-tick.C:
+					if _, err := c.Write([]byte("a")); err != nil {
+						return
+					}
+				}
+			}
+		}()
+	}
+
+	resp, err := http.Get(ts.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d while clients trickle", resp.StatusCode)
+	}
+	resp, b := postJSON(t, ts.URL+"/v1/classify", fmt.Sprintf(`{"text":%q}`, docText(&f.corpus.Test[0])))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("classify status %d while clients trickle: %s", resp.StatusCode, b)
+	}
+	if answered := time.Since(start); answered >= timeout {
+		t.Fatalf("healthz and classify took %v, not inside the %v the trickling clients hold", answered, timeout)
+	}
+
+	for i, c := range conns {
+		if err := c.SetReadDeadline(start.Add(timeout + 10*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := io.Copy(io.Discard, c)
+		closed := time.Since(start)
+		var ne net.Error
+		if errors.As(err, &ne) && ne.Timeout() {
+			t.Fatalf("trickling connection %d still open after %v", i, closed)
+		}
+		if closed < timeout {
+			t.Errorf("trickling connection %d closed after %v, before the %v header timeout", i, closed, timeout)
+		}
 	}
 }
