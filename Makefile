@@ -71,8 +71,8 @@ bench:
 
 # Encode-kernel benchmarks with allocation reporting: the sparse/dense
 # level-2 BMU sweep, the cold-word path (fanout table vs legacy live
-# search) and full-document encoding per kernel — the numbers recorded
-# in BENCH_PR6.json.
+# search) and full-document encoding through Encode and the dense
+# reference — the numbers recorded in BENCH_PR6.json.
 bench-encode:
 	$(GO) test -run '^$$' -bench '^Benchmark(BMUSparse|WordVectorCold|EncodeDocument)' -benchmem \
 		./internal/som/ ./internal/hsom/
@@ -80,8 +80,8 @@ bench-encode:
 # Encode bench smoke: fails the build if a //tdlint:hotpath encode
 # kernel ever allocates. TestSparseKernelZeroAlloc and
 # TestEncodeKernelsZeroAlloc assert AllocsPerRun == 0 over the sparse
-# BMU sweeps (both precisions), the warm word-cache lookup and the
-# sparse Gaussian evaluation (same shape as telemetry-smoke).
+# BMU sweep, the warm word-cache lookup and the sparse Gaussian
+# evaluation (same shape as telemetry-smoke).
 encode-smoke:
 	$(GO) test -run 'TestSparseKernelZeroAlloc' -count=1 ./internal/som/
 	$(GO) test -run 'TestEncodeKernelsZeroAlloc' -count=1 ./internal/hsom/
@@ -95,10 +95,15 @@ telemetry-smoke:
 		./internal/telemetry/
 
 # Short fuzz smoke over the parsing and numeric kernels: the SGML
-# corpus reader, the LGP program decoder and interpreter, and the text
-# normaliser. ~10s per target — enough to catch regressions in input
-# handling, not a soak. Go allows one -fuzz pattern per run, hence one
-# invocation per target.
+# corpus reader, the LGP program decoder and interpreter, the text
+# normaliser, the classify request decoder, the registry manifest and
+# the model snapshot loader. ~10s per target — enough to catch
+# regressions in input handling, not a soak. Go allows one -fuzz
+# pattern per run, hence one invocation per target. FuzzLoad's seeds
+# are whole snapshots (~4 KB): under the default 60 s minimisation
+# budget the first new-coverage input is minimised for the entire
+# 10 s, so its budget is capped at 200 runs and the time goes to
+# mutation instead.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseSGML$$' -fuzztime 10s ./internal/reuters/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 10s ./internal/lgp/
@@ -106,6 +111,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzProcess$$' -fuzztime 10s ./internal/textproc/
 	$(GO) test -run '^$$' -fuzz '^FuzzClassifyRequest$$' -fuzztime 10s ./internal/serve/
 	$(GO) test -run '^$$' -fuzz '^FuzzManifest$$' -fuzztime 10s ./internal/registry/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 200x ./internal/core/
 
 # End-to-end smoke of `tdc serve`: train a tiny model, boot the server
 # on an ephemeral port, drive classify/healthz/modelz/reload over curl

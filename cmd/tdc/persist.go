@@ -86,7 +86,6 @@ func cmdClassify(args []string) error {
 	fs := flag.NewFlagSet("classify", flag.ExitOnError)
 	modelPath := fs.String("model", "model.json", "persisted model file")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
-	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default) or float32 (opt-in reduced precision)")
 	sgml := fs.String("sgml", "", "SGML file with documents to classify (default: synthetic test split)")
 	profile := fs.String("profile", "smoke", "profile for the default synthetic corpus")
 	seed := fs.Int64("seed", 0, "override profile seed")
@@ -119,11 +118,8 @@ func cmdClassify(args []string) error {
 				*modelPath, got, want)
 		}
 	}
-	if err := model.SetKernel(*kernel); err != nil {
-		return err
-	}
 	ts.log.Info("model loaded", "path", info.Path, "sha256", info.SHA256,
-		"method", string(model.FeatureMethod()), "kernel", model.Kernel())
+		"method", string(model.FeatureMethod()))
 	// Loaded models start silent; retrofit the session's registry so
 	// classification latency and cache hit rates land in -metrics.
 	model.AttachTelemetry(ts.reg, nil)

@@ -35,7 +35,6 @@ func cmdServe(args []string) error {
 	residentBytes := fs.Int64("resident-bytes", 0, "max summed snapshot bytes resident under -models-dir (0 = unlimited)")
 	addr := fs.String("addr", "localhost:8080", "listen address (host:port; port 0 picks a free port)")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
-	kernel := fs.String("kernel", "", "level-2 encode kernel: float64 (default) or float32 (opt-in reduced precision)")
 	workers := fs.Int("workers", 0, "classification worker count (default GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "queued-request bound before 503s (default 64)")
 	maxBatch := fs.Int("max-batch", 0, "documents per batch request (default 64)")
@@ -92,7 +91,6 @@ func cmdServe(args []string) error {
 		Resident:         *resident,
 		ResidentBytes:    *residentBytes,
 		Method:           m,
-		Kernel:           *kernel,
 		Workers:          *workers,
 		QueueDepth:       *queue,
 		MaxBatch:         *maxBatch,

@@ -50,7 +50,7 @@ const telemetryPath = "temporaldoc/internal/telemetry"
 // the real tree.
 func trainingEntries() []string {
 	return []string{
-		"som.Train",   // Map.Train, Map.TrainBatch
+		"som.Train",   // Map.Train (online SOM training)
 		"lgp.Run",     // Trainer.Run (the evolution loop)
 		"hsom.Train",  // hierarchical encoder training
 		"hsom.Encode", // encoding applies trained state; must replay identically

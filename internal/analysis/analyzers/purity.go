@@ -53,8 +53,8 @@ const impureDirective = "tdlint:impure"
 type purity struct {
 	// entries are "pkgname.NamePrefix" patterns naming the training
 	// entry points, matched against the package's base name and the
-	// function or method name ("som.Train" matches som.Train and
-	// (*som.Map).TrainBatch alike).
+	// function or method name ("core.Classify" matches
+	// (*core.Model).Classify and (*core.Model).ClassifyDoc alike).
 	entries []string
 	// assumePure lists import-path substrings whose packages are pure
 	// by contract rather than by analysis — the telemetry package reads
@@ -198,9 +198,9 @@ func (p *purity) isEntry(pkgBase, funcName string) bool {
 }
 
 // matchesEntry matches a function against "pkgname.NamePrefix" entry
-// patterns ("som.Train" covers som.Train and (*som.Map).TrainBatch
-// alike; a bare "pkg." covers the package's exported API). Shared by
-// the purity and seedflow analyzers.
+// patterns ("core.Classify" covers (*core.Model).Classify and
+// (*core.Model).ClassifyDoc alike; a bare "pkg." covers the package's
+// exported API). Shared by the purity and seedflow analyzers.
 func matchesEntry(entries []string, pkgBase, funcName string) bool {
 	for _, e := range entries {
 		pkg, prefix, ok := strings.Cut(e, ".")

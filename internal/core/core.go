@@ -601,29 +601,6 @@ func (m *Model) FeatureMethod() featsel.Method { return m.cfg.FeatureMethod }
 // Encoder exposes the trained hierarchical SOM encoder.
 func (m *Model) Encoder() *hsom.Encoder { return m.encoder }
 
-// SetKernel selects the encoder's level-2 distance kernel by name
-// ("float64" or "float32"; "" is the default). The choice is a
-// runtime knob — never persisted, snapshots always carry float64
-// weights. Switching drops the encode cache: cached encodings were
-// produced under the previous kernel. Not safe to call concurrently
-// with classification; services set it once per loaded model.
-func (m *Model) SetKernel(name string) error {
-	k, err := hsom.ParseKernel(name)
-	if err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	if err := m.encoder.SetKernel(k); err != nil {
-		return fmt.Errorf("core: %w", err)
-	}
-	m.encMu.Lock()
-	m.encCache = nil
-	m.encMu.Unlock()
-	return nil
-}
-
-// Kernel returns the active level-2 kernel name.
-func (m *Model) Kernel() string { return string(m.encoder.Kernel()) }
-
 // Rule returns the evolved classification rule of a category in the
 // paper's "R1=R1-I1; ..." notation.
 func (m *Model) Rule(cat string) (string, error) {

@@ -134,7 +134,10 @@ func Load(r io.Reader) (*Model, error) {
 			PerCategory: snap.Selection.PerCategory,
 		}
 	}
-	if m.cfg.GP.NumRegisters <= 0 || m.cfg.GP.NumInputs <= 0 {
+	// The register count sizes every scoring machine's register file,
+	// so it must sit inside lgp's own bound. Program words need no
+	// check: decoding reduces every field modulo its range.
+	if m.cfg.GP.NumRegisters <= 0 || m.cfg.GP.NumRegisters > lgp.MaxRegisters || m.cfg.GP.NumInputs <= 0 {
 		return nil, fmt.Errorf("core: snapshot GP config invalid: %+v", m.cfg.GP)
 	}
 	for _, cs := range snap.Models {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +14,20 @@ func TestModelSaveLoadRoundTrip(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := Load(&buf)
+	saved := buf.Bytes()
+	loaded, err := Load(bytes.NewReader(saved))
 	if err != nil {
 		t.Fatalf("Load: %v", err)
+	}
+	// Save → load → save reproduces the bytes: derived state (the
+	// fanout table, the word cache) never reaches a snapshot, so files
+	// written by earlier builds load and re-save unchanged.
+	var resaved bytes.Buffer
+	if err := loaded.Save(&resaved); err != nil {
+		t.Fatalf("re-Save: %v", err)
+	}
+	if !bytes.Equal(saved, resaved.Bytes()) {
+		t.Fatal("save → load → save changed snapshot bytes")
 	}
 	if !reflect.DeepEqual(loaded.Categories(), m.Categories()) {
 		t.Fatalf("categories changed: %v vs %v", loaded.Categories(), m.Categories())
@@ -128,6 +140,51 @@ func TestReadSnapshotHeaderRejects(t *testing.T) {
 	}
 }
 
+// corruptSnapshots returns corruptions of a saved snapshot that an
+// earlier Load accepted, each crashing the process later: a word map
+// whose Dim is not the char map's unit count (index out of range in the
+// first classify's level-2 sweep), a char map of Dim 1 (a panic inside
+// Load, in the fanout build) and 2^40 registers (out of memory sizing
+// the first scoring machine).
+func corruptSnapshots(t testing.TB, good []byte) []struct {
+	name string
+	data []byte
+} {
+	t.Helper()
+	mangle := func(f func(*modelSnapshot)) []byte {
+		var s modelSnapshot
+		if err := json.Unmarshal(good, &s); err != nil {
+			t.Fatal(err)
+		}
+		f(&s)
+		b, err := json.Marshal(&s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"word map dim differs from char map units", mangle(func(s *modelSnapshot) {
+			wm := &s.Encoder.Categories[0].Map
+			wm.Config.Dim--
+			for u, w := range wm.Weights {
+				wm.Weights[u] = w[:wm.Config.Dim]
+			}
+		})},
+		{"char map dim 1", mangle(func(s *modelSnapshot) {
+			cm := &s.Encoder.CharMap
+			cm.Config.Dim = 1
+			for u, w := range cm.Weights {
+				cm.Weights[u] = w[:1]
+			}
+		})},
+		{"2^40 registers", mangle(func(s *modelSnapshot) { s.GP.NumRegisters = 1 << 40 })},
+	}
+}
+
 func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 	m, _ := trainedModel(t)
 	var buf bytes.Buffer
@@ -142,5 +199,10 @@ func TestLoadRejectsInconsistentSnapshot(t *testing.T) {
 	}
 	if _, err := Load(strings.NewReader(mangled)); err == nil {
 		t.Error("inconsistent snapshot accepted")
+	}
+	for _, c := range corruptSnapshots(t, buf.Bytes()) {
+		if _, err := Load(bytes.NewReader(c.data)); err == nil {
+			t.Errorf("%s: snapshot accepted", c.name)
+		}
 	}
 }

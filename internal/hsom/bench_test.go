@@ -62,8 +62,9 @@ func BenchmarkWordVectorCold(b *testing.B) {
 }
 
 // BenchmarkEncodeDocument measures steady-state full-document encoding
-// (warm word cache) under each level-2 kernel, plus the dense reference
-// encoder (denseEncode; BENCH_PR6.json's kernel=legacy row).
+// (warm word cache) through Encode's sparse float64 kernel and through
+// the dense reference encoder (denseEncode; BENCH_PR6.json's
+// kernel=legacy row).
 func BenchmarkEncodeDocument(b *testing.B) {
 	enc, vocab := benchEncoder(b)
 	rng := rand.New(rand.NewSource(9))
@@ -80,23 +81,18 @@ func BenchmarkEncodeDocument(b *testing.B) {
 			denseEncode(enc, cat, doc)
 		}
 	})
-	for _, k := range []Kernel{KernelFloat64, KernelFloat32} {
-		b.Run(fmt.Sprintf("kernel=%s", k), func(b *testing.B) {
-			if err := enc.SetKernel(k); err != nil {
+	b.Run("kernel=float64", func(b *testing.B) {
+		if _, err := enc.Encode(cat, doc); err != nil { // warm the cache
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := enc.Encode(cat, doc); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := enc.Encode(cat, doc); err != nil { // warm the cache
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := enc.Encode(cat, doc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 func benchDocs(rng *rand.Rand, vocab []string) map[string][]corpus.Document {

@@ -72,15 +72,14 @@ func (t *fanoutTable) row(letter, pos int) []int32 {
 
 // wordEntry is one word's cached encoding state: the dense char-map
 // vector (the public WordVector result) plus its sparse (index, value)
-// form in both precisions, shared with every level-2 kernel. The fields
-// are written exactly once, inside once, and only read after once.Do
+// form, which the level-2 sweep and membership read. The fields are
+// written exactly once, inside once, and only read after once.Do
 // returns — sync.Once publishes them safely to every waiter.
 type wordEntry struct {
 	once  sync.Once
 	dense []float64
 	idx   []int32   // sorted non-zero indices of dense
 	val   []float64 // dense[idx[k]]
-	val32 []float32 // float32(val[k]), for the opt-in float32 kernel
 }
 
 // lookupWord returns the word's filled cache entry, computing it
@@ -124,7 +123,7 @@ func (e *Encoder) lookupWord(word string) *wordEntry {
 
 // fillWordEntry computes a word's dense vector — through the fanout
 // table where possible, through the live NearestK search beyond the
-// table bound — and derives its sparse forms. The per-character
+// table bound — and derives its sparse form. The per-character
 // contributions are added in exactly the live search's order (character by
 // character, rank by rank), so the dense vector is bit-identical to
 // the pre-table computation.
@@ -164,12 +163,10 @@ func (e *Encoder) fillWordEntry(en *wordEntry, word string) {
 	}
 	en.idx = make([]int32, 0, nnz)
 	en.val = make([]float64, 0, nnz)
-	en.val32 = make([]float32, 0, nnz)
 	for i, v := range dense {
 		if math.Float64bits(v) != 0 {
 			en.idx = append(en.idx, int32(i))
 			en.val = append(en.val, v)
-			en.val32 = append(en.val32, float32(v))
 		}
 	}
 	en.dense = dense

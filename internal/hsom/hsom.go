@@ -175,9 +175,6 @@ type CategoryEncoder struct {
 	selected []int
 	gauss    map[int]*Gaussian
 	hits     []int // training hit histogram over all units
-	// k32 is the derived float32 weight view backing KernelFloat32.
-	// Built by SetKernel, never persisted.
-	k32 *som.F32Kernel
 }
 
 // SelectedBMUs returns the selected (informative) unit indices in
@@ -267,12 +264,8 @@ type Encoder struct {
 	// fallback.
 	fan *fanoutTable
 
-	// kernel is the active level-2 distance kernel (see SetKernel);
-	// the zero value is KernelFloat64.
-	kernel Kernel
-
 	// wordVecs caches the (deterministic, charMap-derived) encoding
-	// state of every word ever encoded — dense vector plus sparse forms
+	// state of every word ever encoded — dense vector plus sparse form
 	// — so repeated occurrences (the common case both during
 	// category-SOM training and document encoding) cost one map lookup
 	// instead of a search per character. Guarded by mu; each entry is
@@ -563,11 +556,9 @@ func (e *Encoder) Encode(cat string, words []string) ([]WordCode, error) {
 	out := make([]WordCode, 0, len(words))
 	for _, w := range words {
 		en := e.lookupWord(w)
-		u := e.bmuFor(ce, en)
+		u := ce.Map.BMUSparse(en.idx, en.val)
 		code := WordCode{Word: w, Unit: u}
 		if g, ok := ce.gauss[u]; ok {
-			// Membership runs in float64 under every kernel: the float32
-			// opt-in covers only the distance sweep.
 			raw := g.EvalSparse(en.idx, en.val)
 			if raw >= g.MinValue {
 				code.Member = true
@@ -592,7 +583,8 @@ func (e *Encoder) BMUTrace(cat string, words []string) ([]int, error) {
 	}
 	out := make([]int, len(words))
 	for i, w := range words {
-		out[i] = e.bmuFor(ce, e.lookupWord(w))
+		en := e.lookupWord(w)
+		out[i] = ce.Map.BMUSparse(en.idx, en.val)
 	}
 	return out, nil
 }

@@ -2,54 +2,13 @@ package hsom
 
 import (
 	"math"
-	"reflect"
 	"testing"
 
 	"temporaldoc/internal/corpus"
 	"temporaldoc/internal/reuters"
 )
 
-func TestParseKernel(t *testing.T) {
-	for name, want := range map[string]Kernel{
-		"":        KernelFloat64,
-		"float64": KernelFloat64,
-		"float32": KernelFloat32,
-	} {
-		got, err := ParseKernel(name)
-		if err != nil || got != want {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", name, got, err, want)
-		}
-	}
-	for _, name := range []string{"float16", "legacy"} {
-		if _, err := ParseKernel(name); err == nil {
-			t.Errorf("ParseKernel accepted the unknown kernel %q", name)
-		}
-	}
-	if err := trainedEncoder(t).SetKernel("float16"); err == nil {
-		t.Error("SetKernel accepted an unknown kernel")
-	}
-}
-
-// encodeAll encodes every train-doc word against every category under
-// the encoder's current kernel.
-func encodeAll(t *testing.T, enc *Encoder) map[string][]WordCode {
-	t.Helper()
-	words := []string{
-		"profit", "dividend", "quarter", "shares", "wheat", "tonnes",
-		"harvest", "crop", "unseen", "zzzz",
-	}
-	out := make(map[string][]WordCode)
-	for _, cat := range enc.Categories() {
-		codes, err := enc.Encode(cat, words)
-		if err != nil {
-			t.Fatalf("Encode %s: %v", cat, err)
-		}
-		out[cat] = codes
-	}
-	return out
-}
-
-// denseEncode is the reference encoder the production kernels are
+// denseEncode is the reference encoder the production kernel is
 // proven against: Encode's membership rule over a full dense level-2
 // sweep (Map.BMU) and a dense Gaussian evaluation (Gaussian.Eval) of
 // each word's dense char-map vector.
@@ -118,7 +77,7 @@ func corpusEncoder(t *testing.T) (*Encoder, []string) {
 	return enc, words
 }
 
-// TestEncodeKernelParity is the byte-identity wall of the default
+// TestEncodeKernelParity is the byte-identity wall of the encode
 // kernel: in every category, over every distinct corpus word, Encode
 // must produce exactly the word codes denseEncode does — units, member
 // flags, and the bits of every index and membership. Word codes are
@@ -126,9 +85,6 @@ func corpusEncoder(t *testing.T) (*Encoder, []string) {
 // this encoder classifies.
 func TestEncodeKernelParity(t *testing.T) {
 	enc, words := corpusEncoder(t)
-	if enc.Kernel() != KernelFloat64 {
-		t.Fatalf("default kernel = %v", enc.Kernel())
-	}
 	if len(enc.Categories()) < 2 || len(words) < 100 {
 		t.Fatalf("fixture too small: %d categories, %d words", len(enc.Categories()), len(words))
 	}
@@ -177,61 +133,11 @@ func TestEvalSparseMatchesEval(t *testing.T) {
 	}
 }
 
-// TestFloat32KernelEncode checks the opt-in float32 kernel encodes
-// deterministically, only ever differs from float64 in BMU choice (the
-// membership maths stays float64), and builds its weight views lazily
-// but exactly once.
-func TestFloat32KernelEncode(t *testing.T) {
-	enc := trainedEncoder(t)
-	base := encodeAll(t, enc)
-	if err := enc.SetKernel(KernelFloat32); err != nil {
-		t.Fatal(err)
-	}
-	if enc.Kernel() != KernelFloat32 {
-		t.Fatalf("kernel = %v after SetKernel(float32)", enc.Kernel())
-	}
-	for _, cat := range enc.Categories() {
-		if enc.Category(cat).k32 == nil {
-			t.Fatalf("category %s has no float32 view", cat)
-		}
-	}
-	a := encodeAll(t, enc)
-	b := encodeAll(t, enc)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("float32 kernel is nondeterministic")
-	}
-	for cat, codes := range a {
-		for i, c := range codes {
-			if c.Unit == base[cat][i].Unit {
-				// Same BMU ⇒ the whole code must match float64 bit-for-bit:
-				// membership is evaluated by the same float64 kernel.
-				if !reflect.DeepEqual(c, base[cat][i]) {
-					t.Fatalf("%s %q: same BMU but different code: %+v vs %+v",
-						cat, c.Word, c, base[cat][i])
-				}
-			}
-		}
-	}
-	// Switching back restores the default path.
-	if err := enc.SetKernel(""); err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeAll(t, enc); !reflect.DeepEqual(got, base) {
-		t.Fatal("switching back to float64 did not restore baseline output")
-	}
-}
-
 // TestEncodeKernelsZeroAlloc is the //tdlint:hotpath no-alloc contract
 // of the steady-state encode path: warm cache lookup, sparse BMU sweep
-// (both precisions) and sparse membership must not allocate.
+// and sparse membership must not allocate.
 func TestEncodeKernelsZeroAlloc(t *testing.T) {
 	enc := trainedEncoder(t)
-	if err := enc.SetKernel(KernelFloat32); err != nil {
-		t.Fatal(err)
-	}
-	if err := enc.SetKernel(KernelFloat64); err != nil {
-		t.Fatal(err)
-	}
 	cat := enc.Categories()[0]
 	ce := enc.Category(cat)
 	var g *Gaussian
@@ -251,20 +157,14 @@ func TestEncodeKernelsZeroAlloc(t *testing.T) {
 		t.Errorf("warm lookupWord allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
-		sink += enc.bmuFor(ce, en)
+		sink += ce.Map.BMUSparse(en.idx, en.val)
 	}); n != 0 {
-		t.Errorf("bmuFor(float64) allocates %v per op", n)
+		t.Errorf("BMUSparse allocates %v per op", n)
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		fsink += g.EvalSparse(en.idx, en.val)
 	}); n != 0 {
 		t.Errorf("EvalSparse allocates %v per op", n)
-	}
-	enc.kernel = KernelFloat32
-	if n := testing.AllocsPerRun(100, func() {
-		sink += enc.bmuFor(ce, en)
-	}); n != 0 {
-		t.Errorf("bmuFor(float32) allocates %v per op", n)
 	}
 	if sink < 0 || fsink < 0 {
 		t.Fatal("impossible")

@@ -69,6 +69,12 @@ func FromSnapshot(s Snapshot) (*Encoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hsom: char map: %w", err)
 	}
+	// The char map codes (letter, position) pairs, and every word map
+	// codes vectors with one entry per char-map unit: any other geometry
+	// would index out of range in the fanout build or the level-2 sweep.
+	if charMap.Dim() != 2 {
+		return nil, fmt.Errorf("hsom: char map dim %d, want 2", charMap.Dim())
+	}
 	cfg := s.Config
 	cfg.setDefaults()
 	enc := &Encoder{
@@ -90,6 +96,9 @@ func FromSnapshot(s Snapshot) (*Encoder, error) {
 		wordMap, err := som.FromSnapshot(cs.Map)
 		if err != nil {
 			return nil, fmt.Errorf("hsom: category %s: %w", cs.Category, err)
+		}
+		if wordMap.Dim() != charMap.Units() {
+			return nil, fmt.Errorf("hsom: category %s: word map dim %d, want %d", cs.Category, wordMap.Dim(), charMap.Units())
 		}
 		if len(cs.Hits) != wordMap.Units() {
 			return nil, fmt.Errorf("hsom: category %s: %d hits for %d units", cs.Category, len(cs.Hits), wordMap.Units())

@@ -73,6 +73,19 @@ func TestFromSnapshotValidation(t *testing.T) {
 		{"gaussian wrong dim", mangle(func(s *Snapshot) { s.Categories[0].Gauss[0].Mean = []float64{1} })},
 		{"hits wrong length", mangle(func(s *Snapshot) { s.Categories[0].Hits = s.Categories[0].Hits[:1] })},
 		{"bad char map", mangle(func(s *Snapshot) { s.CharMap.Weights = nil })},
+		{"char map dim 1", mangle(func(s *Snapshot) {
+			s.CharMap.Config.Dim = 1
+			for u, w := range s.CharMap.Weights {
+				s.CharMap.Weights[u] = w[:1]
+			}
+		})},
+		{"word map dim differs from char units", mangle(func(s *Snapshot) {
+			m := &s.Categories[0].Map
+			m.Config.Dim--
+			for u, w := range m.Weights {
+				m.Weights[u] = w[:m.Config.Dim]
+			}
+		})},
 	}
 	for _, tc := range cases {
 		if _, err := FromSnapshot(tc.snap); err == nil {

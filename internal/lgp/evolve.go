@@ -147,6 +147,11 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxRegisters bounds Config.NumRegisters: an instruction's
+// destination field is three bits wide, so no program writes a ninth
+// register.
+const MaxRegisters = 8
+
 func (c *Config) validate() error {
 	if c.PopulationSize < 4 {
 		return fmt.Errorf("lgp: population %d < 4", c.PopulationSize)
@@ -154,8 +159,8 @@ func (c *Config) validate() error {
 	if c.TournamentSize < 2 || c.TournamentSize > c.PopulationSize {
 		return fmt.Errorf("lgp: tournament size %d out of range", c.TournamentSize)
 	}
-	if c.NumRegisters < 1 || c.NumRegisters > 8 {
-		return fmt.Errorf("lgp: registers %d out of [1,8]", c.NumRegisters)
+	if c.NumRegisters < 1 || c.NumRegisters > MaxRegisters {
+		return fmt.Errorf("lgp: registers %d out of [1,%d]", c.NumRegisters, MaxRegisters)
 	}
 	if c.NumInputs < 1 {
 		return fmt.Errorf("lgp: inputs %d < 1", c.NumInputs)

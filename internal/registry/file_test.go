@@ -81,7 +81,7 @@ func TestOpenFileServesOneResidentEntry(t *testing.T) {
 	}
 	v := models[0].Versions[0]
 	if !v.Resident || !v.Latest || v.SHA256 != f.hash || v.Bytes != f.bytes || v.FeatureMethod != "df" ||
-		v.Kernel != "float64" || v.SnapshotPath != live || v.LoadedAt == nil {
+		v.SnapshotPath != live || v.LoadedAt == nil {
 		t.Errorf("version = %+v", v)
 	}
 	if !reflect.DeepEqual(v.Categories, f.model.Categories()) {

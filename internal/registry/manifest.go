@@ -39,7 +39,6 @@ import (
 	"time"
 
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 )
 
 const (
@@ -77,9 +76,6 @@ type Manifest struct {
 	// FeatureMethod mirrors the snapshot header; the loaded model must
 	// agree or the load fails.
 	FeatureMethod string `json:"feature_method"`
-	// Kernel, when set, overrides the registry's default encode kernel
-	// for this version (runtime-only, like serve's -kernel).
-	Kernel string `json:"kernel,omitempty"`
 	// CreatedAt orders versions: the latest version of a model is the
 	// one with the greatest (CreatedAt, Version) pair.
 	CreatedAt time.Time `json:"created_at"`
@@ -137,9 +133,6 @@ func (m *Manifest) Validate() error {
 	}
 	if !featsel.Known(featsel.Method(m.FeatureMethod)) {
 		return fmt.Errorf("registry: unknown feature method %q", m.FeatureMethod)
-	}
-	if _, err := hsom.ParseKernel(m.Kernel); err != nil {
-		return fmt.Errorf("registry: %w", err)
 	}
 	if m.CreatedAt.IsZero() {
 		return errors.New("registry: created_at is zero")

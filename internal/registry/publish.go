@@ -13,7 +13,6 @@ import (
 
 	"temporaldoc/internal/core"
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 )
 
 // PublishOptions parameterises one Publish call.
@@ -22,9 +21,6 @@ type PublishOptions struct {
 	// by the caller (the registry itself never reads the clock at
 	// publish time, so tests and replays stay deterministic).
 	CreatedAt time.Time
-	// Kernel, when non-empty, is recorded in the manifest and overrides
-	// the serving default for this version.
-	Kernel string
 	// Method, when non-empty, requires the snapshot header to record
 	// exactly this feature-selection method.
 	Method featsel.Method
@@ -52,9 +48,6 @@ func Publish(root, model, version, srcPath string, opts PublishOptions) (Manifes
 	if opts.CreatedAt.IsZero() {
 		return Manifest{}, errors.New("registry: publish needs PublishOptions.CreatedAt")
 	}
-	if _, err := hsom.ParseKernel(opts.Kernel); err != nil {
-		return Manifest{}, err
-	}
 	b, err := os.ReadFile(srcPath)
 	if err != nil {
 		return Manifest{}, fmt.Errorf("registry: read snapshot: %w", err)
@@ -74,7 +67,6 @@ func Publish(root, model, version, srcPath string, opts PublishOptions) (Manifes
 		SHA256:        hex.EncodeToString(sum[:]),
 		Bytes:         int64(len(b)),
 		FeatureMethod: string(header.FeatureMethod),
-		Kernel:        opts.Kernel,
 		CreatedAt:     opts.CreatedAt.UTC(),
 	}
 	if err := man.Validate(); err != nil {

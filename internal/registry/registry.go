@@ -13,7 +13,6 @@ import (
 
 	"temporaldoc/internal/core"
 	"temporaldoc/internal/featsel"
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/telemetry"
 )
 
@@ -56,9 +55,6 @@ type Config struct {
 	// Method, when non-empty, requires every loaded snapshot to record
 	// exactly this feature-selection method.
 	Method featsel.Method
-	// Kernel is the encode kernel applied to loaded models unless their
-	// manifest overrides it.
-	Kernel hsom.Kernel
 	// Metrics receives the registry counters; nil costs nothing.
 	Metrics *telemetry.Registry
 }
@@ -82,7 +78,6 @@ type VersionStatus struct {
 	SHA256        string    `json:"sha256"`
 	Bytes         int64     `json:"bytes"`
 	FeatureMethod string    `json:"feature_method"`
-	Kernel        string    `json:"kernel,omitempty"`
 	CreatedAt     time.Time `json:"created_at"`
 	// SnapshotPath is the snapshot file this version loads from.
 	SnapshotPath string `json:"snapshot_path"`
@@ -205,9 +200,6 @@ func Open(cfg Config) (*Registry, error) {
 	if cfg.Method != "" && !featsel.Known(cfg.Method) {
 		return nil, fmt.Errorf("registry: unknown feature-selection method %q", cfg.Method)
 	}
-	if _, err := hsom.ParseKernel(string(cfg.Kernel)); err != nil {
-		return nil, err
-	}
 	if cfg.MaxResident < 0 || cfg.MaxResidentBytes < 0 {
 		return nil, errors.New("registry: resident bounds must be >= 0")
 	}
@@ -301,7 +293,7 @@ func (r *Registry) Scan() (ScanStats, error) {
 // after a swap too.
 func (r *Registry) scanFile() (ScanStats, error) {
 	cv := &catVersion{path: r.cfg.Root}
-	snap, err := r.open(FileModel, FileVersion, cv.path, "")
+	snap, err := r.open(FileModel, FileVersion, cv.path)
 	if err != nil {
 		r.met.loadErrors.Inc()
 		return ScanStats{}, err
@@ -312,7 +304,6 @@ func (r *Registry) scanFile() (ScanStats, error) {
 		SHA256:        snap.Info.SHA256,
 		Bytes:         snap.Info.Bytes,
 		FeatureMethod: string(snap.Model.FeatureMethod()),
-		Kernel:        snap.Model.Kernel(),
 		CreatedAt:     snap.LoadedAt,
 	}
 	snap.Manifest = cv.manifest
@@ -438,7 +429,6 @@ func (r *Registry) Models() []ModelStatus {
 				SHA256:        man.SHA256,
 				Bytes:         man.Bytes,
 				FeatureMethod: man.FeatureMethod,
-				Kernel:        man.Kernel,
 				CreatedAt:     man.CreatedAt,
 				SnapshotPath:  cv.path,
 				Latest:        i == len(cm.order)-1,
@@ -578,7 +568,7 @@ func (r *Registry) Acquire(ctx context.Context, model, version string) (*Snapsho
 // loading is the slow path and must not block hits.
 func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error) {
 	man := cv.manifest
-	snap, err := r.open(model, version, cv.path, man.Kernel)
+	snap, err := r.open(model, version, cv.path)
 	if err != nil {
 		return nil, err
 	}
@@ -599,10 +589,9 @@ func (r *Registry) load(model, version string, cv *catVersion) (*Snapshot, error
 	return snap, nil
 }
 
-// open loads one snapshot file, checks it against the required feature
-// method and applies the encode kernel (kernel, when set, overrides the
-// configured one) before anyone can acquire it.
-func (r *Registry) open(model, version, path, kernel string) (*Snapshot, error) {
+// open loads one snapshot file and checks it against the required
+// feature method before anyone can acquire it.
+func (r *Registry) open(model, version, path string) (*Snapshot, error) {
 	r.met.loads.Inc()
 	m, info, err := r.loader(path)
 	if err != nil {
@@ -611,12 +600,6 @@ func (r *Registry) open(model, version, path, kernel string) (*Snapshot, error) 
 	if r.cfg.Method != "" && m.FeatureMethod() != r.cfg.Method {
 		return nil, fmt.Errorf("registry: %s/%s feature method %q does not satisfy the required %q",
 			model, version, m.FeatureMethod(), r.cfg.Method)
-	}
-	if kernel == "" {
-		kernel = string(r.cfg.Kernel)
-	}
-	if err := m.SetKernel(kernel); err != nil {
-		return nil, fmt.Errorf("registry: %s/%s: %w", model, version, err)
 	}
 	m.AttachTelemetry(r.cfg.Metrics, nil)
 	//lint:ignore determinism resident-since metadata: reported on /v1/models, never reaches model state

@@ -3,6 +3,7 @@ package registry
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -185,7 +186,7 @@ func TestPublishAndScan(t *testing.T) {
 	f := getRegFixture(t)
 	root := t.TempDir()
 	mustPublish(t, root, "earn", "v1", f.path, PublishOptions{CreatedAt: stamp(0)})
-	mustPublish(t, root, "earn", "v2", f.pathAlt, PublishOptions{CreatedAt: stamp(1), Kernel: "float32"})
+	mustPublish(t, root, "earn", "v2", f.pathAlt, PublishOptions{CreatedAt: stamp(1)})
 	mustPublish(t, root, "acq", "v1", f.path, PublishOptions{CreatedAt: stamp(2)})
 
 	r := openReg(t, root, nil)
@@ -206,9 +207,6 @@ func TestPublishAndScan(t *testing.T) {
 	}
 	if earn.Versions[1].Version != "v2" || !earn.Versions[1].Latest {
 		t.Errorf("earn v2 = %+v, want latest", earn.Versions[1])
-	}
-	if earn.Versions[1].Kernel != "float32" {
-		t.Errorf("earn v2 kernel %q, want float32", earn.Versions[1].Kernel)
 	}
 	if earn.Versions[0].SHA256 != f.hash || earn.Versions[1].SHA256 != f.hashAlt {
 		t.Errorf("hashes %q/%q, want %q/%q",
@@ -236,7 +234,6 @@ func TestPublishRejects(t *testing.T) {
 		{"empty version", "m", "", f.path, ok},
 		{"overlong name", strings.Repeat("x", 65), "v1", f.path, ok},
 		{"zero created-at", "m", "v1", f.path, PublishOptions{}},
-		{"bad kernel", "m", "v1", f.path, PublishOptions{CreatedAt: stamp(0), Kernel: "turbo"}},
 		{"method mismatch", "m", "v1", f.path, PublishOptions{CreatedAt: stamp(0), Method: featsel.MI}},
 		{"missing source", "m", "v1", filepath.Join(root, "nope.json"), ok},
 	}
@@ -310,6 +307,30 @@ func TestScanSkipsInvalidVersions(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A manifest that still carries the retired "kernel" field, as
+	// `tdc publish -kernel` once wrote it: the decoder rejects unknown
+	// fields, so the version is skipped, whatever the value, and the
+	// operator republishes it under a new version.
+	kernel := filepath.Join(root, "earn", "withkernel")
+	if err := os.MkdirAll(kernel, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	km := strings.ReplaceAll(string(mb), `"short"`, `"withkernel"`)
+	km = strings.Replace(km, `"created_at"`, `"kernel": "float64",
+  "created_at"`, 1)
+	if err := os.WriteFile(filepath.Join(kernel, "manifest.json"), []byte(km), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sb, err := os.ReadFile(filepath.Join(root, "earn", "good", "snapshot.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(kernel, "snapshot.bin"), sb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeManifest(strings.NewReader(km)); err == nil || !strings.Contains(err.Error(), `"kernel"`) {
+		t.Fatalf("manifest with a kernel field: DecodeManifest error = %v, want the unknown field named", err)
+	}
 	// A crashed publish's leftover temp dir, and a stray file in the root.
 	tempDir := filepath.Join(root, "earn", ".tmp-crashed-123")
 	if err := os.MkdirAll(tempDir, 0o755); err != nil {
@@ -327,8 +348,8 @@ func TestScanSkipsInvalidVersions(t *testing.T) {
 	if stats.Models != 1 || stats.Versions != 1 {
 		t.Errorf("scan accepted %d models / %d versions, want 1/1", stats.Models, stats.Versions)
 	}
-	if stats.Skipped != 3 {
-		t.Errorf("scan skipped %d, want 3 (bad manifest, short snapshot, location mismatch)", stats.Skipped)
+	if stats.Skipped != 4 {
+		t.Errorf("scan skipped %d, want 4 (bad manifest, short snapshot, location mismatch, kernel field)", stats.Skipped)
 	}
 	if stats.TempDirs != 1 {
 		t.Errorf("scan temp dirs %d, want 1", stats.TempDirs)
@@ -346,8 +367,8 @@ func TestScanSkipsInvalidVersions(t *testing.T) {
 	if snap.Info.SHA256 != f.hash {
 		t.Errorf("served hash %q, want %q", snap.Info.SHA256, f.hash)
 	}
-	if got := counter(r, "registry.scan.skipped"); got < 3 {
-		t.Errorf("registry.scan.skipped = %d, want >= 3", got)
+	if got := counter(r, "registry.scan.skipped"); got < 4 {
+		t.Errorf("registry.scan.skipped = %d, want >= 4", got)
 	}
 	if got := counter(r, "registry.scan.tempdirs"); got < 1 {
 		t.Errorf("registry.scan.tempdirs = %d, want >= 1", got)
@@ -383,7 +404,6 @@ func TestManifestValidation(t *testing.T) {
 		"short sha":       mutate(func(m *Manifest) { m.SHA256 = "abcd" }),
 		"zero bytes":      mutate(func(m *Manifest) { m.Bytes = 0 }),
 		"bad method":      mutate(func(m *Manifest) { m.FeatureMethod = "tfidf" }),
-		"bad kernel":      mutate(func(m *Manifest) { m.Kernel = "turbo" }),
 		"zero created-at": mutate(func(m *Manifest) { m.CreatedAt = time.Time{} }),
 	}
 	for name, m := range bad {
@@ -569,6 +589,58 @@ func TestAcquireLoadFailureRetries(t *testing.T) {
 	}
 	if snap.Info.SHA256 != f.hash {
 		t.Errorf("retried load hash %q, want %q", snap.Info.SHA256, f.hash)
+	}
+}
+
+// TestAcquireCorruptSnapshotFailsEveryTime publishes a snapshot whose
+// char map has Dim 1. Its header is valid and its sha256 matches, so
+// only the load can reject it, and every Acquire must return that
+// error. A load that panicked instead would skip the single-flight
+// cleanup: the slot would stay resident with done never closed, and
+// each later request for the version would wait out its deadline.
+func TestAcquireCorruptSnapshotFailsEveryTime(t *testing.T) {
+	f := getRegFixture(t)
+	b, err := os.ReadFile(f.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var snap map[string]any
+	if err := dec.Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	charMap := snap["encoder"].(map[string]any)["char_map"].(map[string]any)
+	charMap["config"].(map[string]any)["Dim"] = 1
+	weights := charMap["weights"].([]any)
+	for u, w := range weights {
+		weights[u] = w.([]any)[:1]
+	}
+	corrupt, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join(t.TempDir(), "dim1.json")
+	if err := os.WriteFile(src, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	mustPublish(t, root, "earn", "v1", src, PublishOptions{CreatedAt: stamp(0)})
+	r := openReg(t, root, nil)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 1; i <= 2; i++ {
+		_, err := r.Acquire(ctx, "earn", "")
+		if err == nil {
+			t.Fatalf("Acquire %d of a char map with Dim 1 succeeded", i)
+		}
+		if errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Acquire %d waited out its deadline: %v", i, err)
+		}
+	}
+	if got := counter(r, "registry.load.errors"); got != 2 {
+		t.Errorf("registry.load.errors = %d, want 2", got)
 	}
 }
 

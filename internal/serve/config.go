@@ -43,11 +43,6 @@ type Config struct {
 	// of a mismatching snapshot fail. Empty accepts whatever the
 	// snapshot records.
 	Method featsel.Method
-	// Kernel selects the level-2 encode kernel applied to every loaded
-	// model: "float64" (the default, also the empty string) or "float32"
-	// (the opt-in reduced-precision distance sweep). Runtime-only — the
-	// snapshot file is never affected.
-	Kernel string
 	// Workers bounds concurrent classification jobs. Default
 	// GOMAXPROCS.
 	Workers int

@@ -49,7 +49,6 @@ import (
 	"net/http"
 	"time"
 
-	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/registry"
 	"temporaldoc/internal/telemetry"
 	"temporaldoc/internal/textproc"
@@ -90,7 +89,6 @@ func New(cfg Config) (*Server, error) {
 		MaxResident:      cfg.Resident,
 		MaxResidentBytes: cfg.ResidentBytes,
 		Method:           cfg.Method,
-		Kernel:           hsom.Kernel(cfg.Kernel),
 		Metrics:          cfg.Metrics,
 	})
 	if err != nil {

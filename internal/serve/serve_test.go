@@ -2,7 +2,6 @@ package serve
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -22,7 +21,6 @@ import (
 	"temporaldoc/internal/featsel"
 	"temporaldoc/internal/hsom"
 	"temporaldoc/internal/lgp"
-	"temporaldoc/internal/registry"
 	"temporaldoc/internal/reuters"
 	"temporaldoc/internal/telemetry"
 	"temporaldoc/internal/textproc"
@@ -484,35 +482,6 @@ func TestServeMethodMismatch(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "feature method") {
 		t.Errorf("error %q does not explain the method mismatch", err)
 	}
-}
-
-// TestServeKernelConfig checks kernel selection is validated at
-// construction and applied to the loaded model — and survives a reload.
-func TestServeKernelConfig(t *testing.T) {
-	f := getFixture(t)
-	if _, err := New(Config{ModelPath: f.pathA, Kernel: "float16"}); err == nil {
-		t.Fatal("server accepted an unknown kernel")
-	}
-	s := newTestServer(t, f.pathA, func(c *Config) { c.Kernel = "float32" })
-	if got := current(t, s).Model.Kernel(); got != "float32" {
-		t.Fatalf("loaded model kernel = %q, want float32", got)
-	}
-	if _, err := s.Reload(); err != nil {
-		t.Fatal(err)
-	}
-	if got := current(t, s).Model.Kernel(); got != "float32" {
-		t.Fatalf("kernel lost across reload: %q", got)
-	}
-}
-
-// current acquires the snapshot an unnamed request is served by.
-func current(t *testing.T, s *Server) *registry.Snapshot {
-	t.Helper()
-	snap, err := s.registry.Acquire(context.Background(), "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return snap
 }
 
 // TestServeParityWithOffline is the acceptance check: a 1000-document

@@ -56,18 +56,13 @@ func BenchmarkBMUBatch(b *testing.B) {
 }
 
 // BenchmarkBMUSparse compares the dense level-2 sweep against the
-// sparse kernels on word-vector-shaped inputs (~3×wordlen non-zeros of
+// sparse kernel on word-vector-shaped inputs (~3×wordlen non-zeros of
 // 91 dims) — the PR-6 encode-kernel numbers in BENCH_PR6.json.
 func BenchmarkBMUSparse(b *testing.B) {
 	m, idxs, vals := sparseFixture(b, 256)
 	dense := make([][]float64, len(idxs))
-	val32s := make([][]float32, len(idxs))
 	for i := range idxs {
 		dense[i] = denseFromSparse(91, idxs[i], vals[i])
-		val32s[i] = make([]float32, len(vals[i]))
-		for k, v := range vals[i] {
-			val32s[i][k] = float32(v)
-		}
 	}
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
@@ -80,15 +75,6 @@ func BenchmarkBMUSparse(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			j := i % len(idxs)
 			m.BMUSparse(idxs[j], vals[j])
-		}
-	})
-	b.Run("sparse32", func(b *testing.B) {
-		k32 := m.F32Kernel()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			j := i % len(idxs)
-			k32.BMUSparse(idxs[j], val32s[j])
 		}
 	})
 }

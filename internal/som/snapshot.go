@@ -31,11 +31,15 @@ func FromSnapshot(s Snapshot) (*Map, error) {
 	if len(s.Weights) != units {
 		return nil, fmt.Errorf("som: snapshot has %d weight vectors, want %d", len(s.Weights), units)
 	}
-	flat := make([]float64, 0, units*s.Config.Dim)
+	// Check every vector before sizing the flat buffer: a corrupt Dim
+	// must fail here, not in an allocation sized from it.
 	for u, w := range s.Weights {
 		if len(w) != s.Config.Dim {
 			return nil, fmt.Errorf("som: snapshot unit %d has dim %d, want %d", u, len(w), s.Config.Dim)
 		}
+	}
+	flat := make([]float64, 0, units*s.Config.Dim)
+	for _, w := range s.Weights {
 		flat = append(flat, w...)
 	}
 	m := &Map{

@@ -68,6 +68,13 @@ func TestFromSnapshotValidation(t *testing.T) {
 		t.Error("wrong-dimension weights accepted")
 	}
 
+	// A corrupt Dim must be rejected before anything is sized from it.
+	bad = good
+	bad.Config.Dim = 1 << 40
+	if _, err := FromSnapshot(bad); err == nil {
+		t.Error("huge dimension accepted")
+	}
+
 	bad = good
 	bad.Config.Width = 0
 	if _, err := FromSnapshot(bad); err == nil {

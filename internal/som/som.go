@@ -468,33 +468,3 @@ func (m *Map) QuantizationError(inputs [][]float64) float64 {
 	}
 	return sum / float64(len(inputs))
 }
-
-// TopographicError returns the fraction of inputs whose first and second
-// BMUs are not grid neighbours — a standard topology-preservation
-// diagnostic.
-func (m *Map) TopographicError(inputs [][]float64) float64 {
-	if len(inputs) == 0 {
-		return 0
-	}
-	bad := 0
-	for _, x := range inputs {
-		nk := m.NearestK(x, 2)
-		if len(nk) < 2 {
-			continue
-		}
-		if m.gridDist2(nk[0], nk[1]) > 2 { // not in the 8-neighbourhood
-			bad++
-		}
-	}
-	return float64(bad) / float64(len(inputs))
-}
-
-// HitHistogram counts, for each unit, how many of the inputs select it as
-// their BMU.
-func (m *Map) HitHistogram(inputs [][]float64) []int {
-	hits := make([]int, m.Units())
-	for _, bmu := range m.BMUBatch(inputs, 0) {
-		hits[bmu]++
-	}
-	return hits
-}

@@ -199,26 +199,6 @@ func TestNearestKProperty(t *testing.T) {
 	}
 }
 
-func TestHitHistogramSumsToInputs(t *testing.T) {
-	m := mustNew(t, baseCfg())
-	rng := rand.New(rand.NewSource(5))
-	var inputs [][]float64
-	for i := 0; i < 37; i++ {
-		inputs = append(inputs, []float64{rng.Float64(), rng.Float64()})
-	}
-	hits := m.HitHistogram(inputs)
-	if len(hits) != m.Units() {
-		t.Fatalf("histogram length %d, want %d", len(hits), m.Units())
-	}
-	total := 0
-	for _, h := range hits {
-		total += h
-	}
-	if total != len(inputs) {
-		t.Errorf("histogram sums to %d, want %d", total, len(inputs))
-	}
-}
-
 func TestQuantizationErrorZeroOnExactWeights(t *testing.T) {
 	m := mustNew(t, baseCfg())
 	inputs := [][]float64{
@@ -230,27 +210,6 @@ func TestQuantizationErrorZeroOnExactWeights(t *testing.T) {
 	}
 	if qe := m.QuantizationError(nil); qe != 0 {
 		t.Errorf("QE on empty inputs = %v, want 0", qe)
-	}
-}
-
-func TestTopographicErrorRange(t *testing.T) {
-	cfg := baseCfg()
-	cfg.Epochs = 25
-	m := mustNew(t, cfg)
-	rng := rand.New(rand.NewSource(11))
-	var inputs [][]float64
-	for i := 0; i < 80; i++ {
-		inputs = append(inputs, []float64{rng.Float64(), rng.Float64()})
-	}
-	if err := m.Train(inputs); err != nil {
-		t.Fatal(err)
-	}
-	te := m.TopographicError(inputs)
-	if te < 0 || te > 1 {
-		t.Errorf("topographic error %v out of [0,1]", te)
-	}
-	if te := m.TopographicError(nil); te != 0 {
-		t.Errorf("topographic error on empty = %v", te)
 	}
 }
 

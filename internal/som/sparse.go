@@ -2,13 +2,12 @@ package som
 
 import "math"
 
-// This file holds the table-driven/sparse encode kernels: BMU search
-// over sparse inputs in float64 (bit-identical to the dense sweep) and
-// an opt-in float32 variant.
+// This file holds the sparse encode kernel: BMU search over sparse
+// inputs, bit-identical to the dense sweep.
 //
 // A level-2 word vector has at most 3×len(word) non-zero entries out of
 // the char-map's unit count (91 in the paper's geometry), so the dense
-// BMU sweep multiplies mostly by zero. The sparse kernels walk only the
+// BMU sweep multiplies mostly by zero. The sparse kernel walks only the
 // non-zero (index, value) pairs — but a skipped zero term must not
 // change a single output bit, so the summation order is pinned to the
 // dense kernel's exactly:
@@ -60,69 +59,6 @@ func (m *Map) BMUSparse(idx []int32, val []float64) int {
 		var s [4]float64
 		for k, i := range idx {
 			s[sparseLane(int(i), n4)] += val[k] * w[i]
-		}
-		sc := n2 - 2*((s[0]+s[1])+(s[2]+s[3]))
-		if sc < bestS {
-			best, bestS = u, sc
-		}
-		off += dim
-	}
-	return best
-}
-
-// F32Kernel is a derived float32 view of a trained map's weights and
-// cached squared norms, backing the opt-in float32 level-2 distance
-// kernel. It is rebuilt from the float64 weights on demand — never
-// persisted — so snapshots stay precision-agnostic. Norms are
-// recomputed in float32 from the converted weights (not truncated from
-// the float64 norms), keeping the |w|² − 2·x·w score arithmetic
-// consistent within one precision.
-type F32Kernel struct {
-	dim   int
-	flat  []float32
-	norm2 []float32
-}
-
-// F32Kernel converts the map's weights to a float32 kernel view.
-func (m *Map) F32Kernel() *F32Kernel {
-	k := &F32Kernel{
-		dim:   m.cfg.Dim,
-		flat:  make([]float32, len(m.flat)),
-		norm2: make([]float32, len(m.norm2)),
-	}
-	for i, v := range m.flat {
-		k.flat[i] = float32(v)
-	}
-	for u := range k.norm2 {
-		w := k.flat[u*k.dim : (u+1)*k.dim]
-		var s float32
-		for _, x := range w {
-			s += x * x
-		}
-		k.norm2[u] = s
-	}
-	return k
-}
-
-// BMUSparse is the float32 analogue of Map.BMUSparse: same sparse input
-// contract, same lane layout and tie-breaking, float32 arithmetic
-// throughout. Deterministic, but NOT bit-identical to the float64
-// kernels — callers opt in explicitly and must gate on an accuracy
-// bound (see hsom.KernelFloat32).
-//
-//tdlint:hotpath
-func (k *F32Kernel) BMUSparse(idx []int32, val []float32) int {
-	dim := k.dim
-	n4 := dim &^ 3
-	val = val[:len(idx)]
-	best := 0
-	bestS := float32(math.Inf(1))
-	off := 0
-	for u, n2 := range k.norm2 {
-		w := k.flat[off : off+dim : off+dim]
-		var s [4]float32
-		for j, i := range idx {
-			s[sparseLane(int(i), n4)] += val[j] * w[i]
 		}
 		sc := n2 - 2*((s[0]+s[1])+(s[2]+s[3]))
 		if sc < bestS {
