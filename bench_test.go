@@ -11,7 +11,7 @@ package temporaldoc
 //	BenchmarkFigure3WordBMUMapping    Figure 3
 //	BenchmarkFigure5SingleLabelTrace  Figure 5
 //	BenchmarkFigure6MultiLabelTrace   Figure 6
-//	BenchmarkAblation*                DESIGN.md ablation suite
+//	BenchmarkAblations                DESIGN.md ablation suite
 //
 // Benchmarks run the smoke profile so `go test -bench=.` completes in
 // minutes; `cmd/benchtables -profile quick|full` runs the same
@@ -21,6 +21,7 @@ package temporaldoc
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -157,48 +158,20 @@ func BenchmarkFigure6MultiLabelTrace(b *testing.B) {
 	}
 }
 
-func benchAblation(b *testing.B, run func(experiments.Profile, *corpus.Corpus) (*experiments.AblationResult, error)) {
+// BenchmarkAblations runs the whole suite: the paper design once and
+// each ablation's alternative once.
+func BenchmarkAblations(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, err := run(p, c)
+		results, err := experiments.RunAblations(p, c)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(res.MicroA, "microF1-paper")
-		b.ReportMetric(res.MicroB, "microF1-variant")
+		b.ReportMetric(results[0].MicroA, "microF1-paper")
+		for _, res := range results {
+			b.ReportMetric(res.MicroB, "microF1-"+strings.Join(strings.Fields(res.VariantB), "_"))
+		}
 	}
-}
-
-func BenchmarkAblationRecurrence(b *testing.B) {
-	benchAblation(b, experiments.RunAblationRecurrence)
-}
-
-func BenchmarkAblationBMUFanout(b *testing.B) {
-	benchAblation(b, experiments.RunAblationBMUFanout)
-}
-
-func BenchmarkAblationDSS(b *testing.B) {
-	benchAblation(b, experiments.RunAblationDSS)
-}
-
-func BenchmarkAblationDynamicPages(b *testing.B) {
-	benchAblation(b, experiments.RunAblationDynamicPages)
-}
-
-func BenchmarkAblationMembership(b *testing.B) {
-	benchAblation(b, experiments.RunAblationMembership)
-}
-
-func BenchmarkAblationF1Fitness(b *testing.B) {
-	benchAblation(b, experiments.RunAblationF1Fitness)
-}
-
-func BenchmarkAblationStratifiedDSS(b *testing.B) {
-	benchAblation(b, experiments.RunAblationStratifiedDSS)
-}
-
-func BenchmarkAblationThresholdRule(b *testing.B) {
-	benchAblation(b, experiments.RunAblationThresholdRule)
 }
 
 // --- component micro-benchmarks ---

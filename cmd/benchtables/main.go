@@ -143,21 +143,11 @@ func main() {
 }
 
 func runAblations(p experiments.Profile, c *corpus.Corpus) {
-	runners := []func(experiments.Profile, *corpus.Corpus) (*experiments.AblationResult, error){
-		experiments.RunAblationRecurrence,
-		experiments.RunAblationBMUFanout,
-		experiments.RunAblationDSS,
-		experiments.RunAblationDynamicPages,
-		experiments.RunAblationMembership,
-		experiments.RunAblationF1Fitness,
-		experiments.RunAblationStratifiedDSS,
-		experiments.RunAblationThresholdRule,
+	results, err := experiments.RunAblations(p, c)
+	if err != nil {
+		fatal(err)
 	}
-	for _, run := range runners {
-		res, err := run(p, c)
-		if err != nil {
-			fatal(err)
-		}
+	for _, res := range results {
 		fmt.Println(res.Format())
 	}
 }

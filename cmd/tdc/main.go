@@ -13,12 +13,10 @@
 //	tdc publish  -models-dir models -name earn -version v1 -snapshot model.json
 //	tdc serve    -model model.json -addr localhost:8080
 //	tdc serve    -models-dir models -resident 4
-//	tdc loadgen  -target http://localhost:8080 -duration 10s
 //
-// All subcommands are deterministic for a fixed -seed; serve and
-// loadgen are the long-lived exceptions (they answer or generate live
-// traffic, but classification itself stays deterministic per model
-// snapshot, and loadgen's request stream is seed-reproducible).
+// All subcommands are deterministic for a fixed -seed; serve is the
+// long-lived exception (it answers live traffic, but classification
+// itself stays deterministic per model snapshot).
 package main
 
 import (
@@ -58,8 +56,6 @@ func main() {
 		err = cmdPublish(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
-	case "loadgen":
-		err = cmdLoadgen(os.Args[2:])
 	case "stats":
 		err = cmdStats(os.Args[2:])
 	case "sizing":
@@ -92,7 +88,6 @@ Subcommands:
   classify   classify SGML documents with a persisted model
   publish    publish a snapshot into a model registry directory
   serve      serve a persisted model (or model registry) over an HTTP JSON API
-  loadgen    benchmark a running serve instance with synthetic traffic
   stats      print corpus statistics
   sizing     search SOM geometries by quantisation error (AWC study)
   inspect    summarise a persisted model (rules, thresholds, BMUs)
@@ -123,11 +118,10 @@ func profileByName(name string, seed int64, scale float64) (experiments.Profile,
 }
 
 func methodByName(name string) (featsel.Method, error) {
-	switch featsel.Method(name) {
-	case featsel.DF, featsel.IG, featsel.MI, featsel.Nouns, featsel.CHI:
-		return featsel.Method(name), nil
+	if m := featsel.Method(name); featsel.Known(m) {
+		return m, nil
 	}
-	return "", fmt.Errorf("unknown feature method %q (df, ig, mi, nouns)", name)
+	return "", fmt.Errorf("unknown feature method %q (one of %v)", name, featsel.AllMethods())
 }
 
 func cmdGenerate(args []string) error {

@@ -50,8 +50,13 @@ func TestMethodByName(t *testing.T) {
 			t.Errorf("%s rejected: %v", name, err)
 		}
 	}
-	if _, err := methodByName("tfidf"); err == nil {
-		t.Error("unknown method accepted")
+	_, err := methodByName("tfidf")
+	if err == nil {
+		t.Fatal("unknown method accepted")
+	}
+	// The message lists what is accepted, every method included.
+	if !strings.Contains(err.Error(), "chi") {
+		t.Errorf("unknown-method error %q does not name chi", err)
 	}
 }
 

@@ -50,112 +50,96 @@ func runVariant(cfg core.Config, c *corpus.Corpus) (micro, macro, meanFitness fl
 	return set.MicroF1(), set.MacroF1(), fit, nil
 }
 
-func (p Profile) ablate(name, labelA, labelB string, c *corpus.Corpus,
-	mutateA, mutateB func(*core.Config)) (*AblationResult, error) {
-	base := p.coreConfig(featsel.DF)
-	cfgA, cfgB := base, base
-	mutateA(&cfgA)
-	mutateB(&cfgB)
-	microA, macroA, fitA, err := runVariant(cfgA, c)
-	if err != nil {
-		return nil, fmt.Errorf("%s variant A: %w", name, err)
+// paperDesign is the profile's DF pipeline with every choice the
+// ablation suite varies pinned to the paper's value. The built-in
+// profiles already make these choices, so this is the profile's own
+// model.
+func (p Profile) paperDesign() core.Config {
+	cfg := p.coreConfig(featsel.DF)
+	cfg.GP.Recurrent = true
+	cfg.Encoder.BMUFanout = 3
+	dss := lgp.DSSConfig{SubsetSize: 40, Interval: 50}
+	if cfg.GP.DSS != nil {
+		dss = *cfg.GP.DSS
 	}
-	microB, macroB, fitB, err := runVariant(cfgB, c)
-	if err != nil {
-		return nil, fmt.Errorf("%s variant B: %w", name, err)
-	}
-	return &AblationResult{
-		Name: name, VariantA: labelA, VariantB: labelB,
-		MicroA: microA, MacroA: macroA, FitnessA: fitA,
-		MicroB: microB, MacroB: macroB, FitnessB: fitB,
-	}, nil
+	dss.Stratify = false
+	cfg.GP.DSS = &dss
+	cfg.DropMembershipInput = false
+	cfg.GP.Fitness = lgp.FitnessSSE
+	cfg.Threshold = core.ThresholdMedian
+	return cfg
 }
 
-// RunAblationRecurrence compares RLGP against the register-reset variant:
-// the paper's central claim is that temporal state matters.
-func RunAblationRecurrence(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("recurrent vs non-recurrent LGP",
-		"recurrent (RLGP, paper)", "non-recurrent (reset/word)", c,
-		func(cfg *core.Config) { cfg.GP.Recurrent = true },
-		func(cfg *core.Config) { cfg.GP.Recurrent = false })
+// ablation is one design choice the suite varies: the labels of the
+// paper's value and of the alternative, and the change that turns the
+// paper design into the alternative.
+type ablation struct {
+	name, paper, variant string
+	mutate               func(*core.Config)
 }
 
-// RunAblationBMUFanout compares the paper's 3-BMU word vectors (weights
-// 1, 1/2, 1/3) against single-BMU vectors.
-func RunAblationBMUFanout(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("3-BMU vs 1-BMU word vectors",
-		"fanout 3 (paper)", "fanout 1", c,
-		func(cfg *core.Config) { cfg.Encoder.BMUFanout = 3 },
-		func(cfg *core.Config) { cfg.Encoder.BMUFanout = 1 })
-}
-
-// RunAblationDSS compares DSS subset fitness evaluation against
-// full-training-set evaluation at an equal tournament budget.
-func RunAblationDSS(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("DSS vs full-set fitness",
-		"DSS (paper)", "full training set", c,
-		func(cfg *core.Config) {
-			if cfg.GP.DSS == nil {
-				cfg.GP.DSS = &lgp.DSSConfig{SubsetSize: 40, Interval: 50}
-			}
-		},
-		func(cfg *core.Config) { cfg.GP.DSS = nil })
-}
-
-// RunAblationDynamicPages compares the dynamic page-size schedule against
-// a fixed single-instruction page.
-func RunAblationDynamicPages(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("dynamic vs fixed page size",
-		"dynamic pages (paper)", "fixed page size 1", c,
-		func(cfg *core.Config) {},
+// ablations is the suite in report order.
+var ablations = []ablation{
+	// The paper's central claim is that temporal state matters.
+	{"recurrent vs non-recurrent LGP", "recurrent (RLGP, paper)", "non-recurrent (reset/word)",
+		func(cfg *core.Config) { cfg.GP.Recurrent = false }},
+	// 3-BMU word vectors weight the BMUs 1, 1/2, 1/3.
+	{"3-BMU vs 1-BMU word vectors", "fanout 3 (paper)", "fanout 1",
+		func(cfg *core.Config) { cfg.Encoder.BMUFanout = 1 }},
+	// DSS subset fitness against full-training-set fitness at an equal
+	// tournament budget.
+	{"DSS vs full-set fitness", "DSS (paper)", "full training set",
+		func(cfg *core.Config) { cfg.GP.DSS = nil }},
+	{"dynamic vs fixed page size", "dynamic pages (paper)", "fixed page size 1",
 		func(cfg *core.Config) {
 			// MaxPageSize 1 pins the schedule at single-instruction
 			// pages; keep the node limit equal.
 			cfg.GP.MaxPages = cfg.GP.MaxPages * cfg.GP.MaxPageSize
 			cfg.GP.MaxPageSize = 1
-		})
-}
-
-// RunAblationMembership compares the full 2-dimensional word code against
-// BMU-index-only input.
-func RunAblationMembership(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("membership input vs index-only",
-		"index+membership (paper)", "index only", c,
-		func(cfg *core.Config) { cfg.DropMembershipInput = false },
-		func(cfg *core.Config) { cfg.DropMembershipInput = true })
-}
-
-// RunAblationThresholdRule compares Equation 6's median-of-medians
-// decision threshold against a training-F1-maximising sweep.
-func RunAblationThresholdRule(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("Equation 6 vs F1-tuned threshold",
-		"median of medians (Eq. 6)", "F1-tuned threshold", c,
-		func(cfg *core.Config) { cfg.Threshold = core.ThresholdMedian },
-		func(cfg *core.Config) { cfg.Threshold = core.ThresholdF1 })
-}
-
-// RunAblationF1Fitness compares the paper's SSE fitness (Equation 5)
-// against the F1-based fitness its conclusion proposes as future work.
-func RunAblationF1Fitness(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	return p.ablate("SSE vs F1 fitness",
-		"SSE fitness (paper)", "F1 fitness (future work)", c,
-		func(cfg *core.Config) { cfg.GP.Fitness = lgp.FitnessSSE },
-		func(cfg *core.Config) { cfg.GP.Fitness = lgp.FitnessF1 })
-}
-
-// RunAblationStratifiedDSS compares plain difficulty/age DSS against the
-// category-aware stratified variant the paper proposes as future work.
-func RunAblationStratifiedDSS(p Profile, c *corpus.Corpus) (*AblationResult, error) {
-	ensure := func(cfg *core.Config) {
-		if cfg.GP.DSS == nil {
-			cfg.GP.DSS = &lgp.DSSConfig{SubsetSize: 40, Interval: 50}
-		} else {
-			dss := *cfg.GP.DSS
+		}},
+	// The full 2-dimensional word code against BMU-index-only input.
+	{"membership input vs index-only", "index+membership (paper)", "index only",
+		func(cfg *core.Config) { cfg.DropMembershipInput = true }},
+	// SSE fitness (Equation 5) against the F1-based fitness the paper's
+	// conclusion proposes as future work.
+	{"SSE vs F1 fitness", "SSE fitness (paper)", "F1 fitness (future work)",
+		func(cfg *core.Config) { cfg.GP.Fitness = lgp.FitnessF1 }},
+	// Difficulty/age DSS against the category-aware stratified variant
+	// the paper proposes as future work.
+	{"plain vs stratified DSS", "difficulty/age DSS (paper)", "stratified DSS (future work)",
+		func(cfg *core.Config) {
+			dss := *cfg.GP.DSS // the paper design's DSSConfig is shared
+			dss.Stratify = true
 			cfg.GP.DSS = &dss
+		}},
+	// Equation 6's median-of-medians decision threshold against a
+	// training-F1-maximising sweep.
+	{"Equation 6 vs F1-tuned threshold", "median of medians (Eq. 6)", "F1-tuned threshold",
+		func(cfg *core.Config) { cfg.Threshold = core.ThresholdF1 }},
+}
+
+// RunAblations trains the paper design once and each ablation's
+// alternative once, and returns one comparison per ablation in report
+// order. Every result's A side is the same paper-design row.
+func RunAblations(p Profile, c *corpus.Corpus) ([]AblationResult, error) {
+	paper := p.paperDesign()
+	microA, macroA, fitA, err := runVariant(paper, c)
+	if err != nil {
+		return nil, fmt.Errorf("paper design: %w", err)
+	}
+	out := make([]AblationResult, len(ablations))
+	for i, a := range ablations {
+		cfg := paper
+		a.mutate(&cfg)
+		microB, macroB, fitB, err := runVariant(cfg, c)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", a.name, err)
+		}
+		out[i] = AblationResult{
+			Name: a.name, VariantA: a.paper, VariantB: a.variant,
+			MicroA: microA, MacroA: macroA, FitnessA: fitA,
+			MicroB: microB, MacroB: macroB, FitnessB: fitB,
 		}
 	}
-	return p.ablate("plain vs stratified DSS",
-		"difficulty/age DSS (paper)", "stratified DSS (future work)", c,
-		func(cfg *core.Config) { ensure(cfg); cfg.GP.DSS.Stratify = false },
-		func(cfg *core.Config) { ensure(cfg); cfg.GP.DSS.Stratify = true })
+	return out, nil
 }

@@ -7,6 +7,7 @@ import (
 	"temporaldoc/internal/corpus"
 	"temporaldoc/internal/featsel"
 	"temporaldoc/internal/lgp"
+	"temporaldoc/internal/telemetry"
 )
 
 // The smoke profile and its corpus are shared across the package tests.
@@ -190,21 +191,39 @@ func TestAblationsRun(t *testing.T) {
 		t.Skip("ablations skipped in -short")
 	}
 	c := profileCorpus(t)
-	runners := map[string]func(Profile, *corpus.Corpus) (*AblationResult, error){
-		"recurrence":    RunAblationRecurrence,
-		"fanout":        RunAblationBMUFanout,
-		"dss":           RunAblationDSS,
-		"dynamicpages":  RunAblationDynamicPages,
-		"membership":    RunAblationMembership,
-		"f1fitness":     RunAblationF1Fitness,
-		"stratifieddss": RunAblationStratifiedDSS,
-		"threshold":     RunAblationThresholdRule,
+	p := testProfile
+	p.Metrics = telemetry.NewRegistry()
+	results, err := RunAblations(p, c)
+	if err != nil {
+		t.Fatalf("RunAblations: %v", err)
 	}
-	for name, run := range runners {
-		t.Run(name, func(t *testing.T) {
-			res, err := run(testProfile, c)
-			if err != nil {
-				t.Fatalf("%v", err)
+	// The paper design trains once, each alternative once.
+	want := int64((1 + len(ablations)) * len(c.Categories))
+	if got := p.Metrics.Counter("core.categories.trained").Value(); got != want {
+		t.Errorf("trained %d category models, want %d (%d trainings)", got, want, 1+len(ablations))
+	}
+	order := []struct{ key, name string }{
+		{"recurrence", "recurrent vs non-recurrent LGP"},
+		{"fanout", "3-BMU vs 1-BMU word vectors"},
+		{"dss", "DSS vs full-set fitness"},
+		{"dynamicpages", "dynamic vs fixed page size"},
+		{"membership", "membership input vs index-only"},
+		{"f1fitness", "SSE vs F1 fitness"},
+		{"stratifieddss", "plain vs stratified DSS"},
+		{"threshold", "Equation 6 vs F1-tuned threshold"},
+	}
+	if len(results) != len(order) {
+		t.Fatalf("got %d results, want %d", len(results), len(order))
+	}
+	paper := results[0]
+	for i, o := range order {
+		res := results[i]
+		t.Run(o.key, func(t *testing.T) {
+			if res.Name != o.name {
+				t.Errorf("result %d is %q, want %q", i, res.Name, o.name)
+			}
+			if res.MicroA != paper.MicroA || res.MacroA != paper.MacroA || res.FitnessA != paper.FitnessA {
+				t.Errorf("paper row %+v differs from the shared one %+v", res, paper)
 			}
 			for _, v := range []float64{res.MicroA, res.MicroB, res.MacroA, res.MacroB} {
 				if v < 0 || v > 1 {

@@ -126,8 +126,7 @@ func (s *Server) tokenize(in []ClassifyDocument) []corpus.Document {
 // classify (measured by the worker, copied off the job after done
 // closes), and write (response render + encode). Every exit path
 // finishes the trace with the status it answered, so sampled JSONL
-// records cover sheds and timeouts too — exactly the requests a loadgen
-// run needs to explain.
+// records cover sheds and timeouts too.
 func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")

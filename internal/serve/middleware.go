@@ -69,8 +69,8 @@ func withRequestID(next http.Handler) http.Handler {
 // recoverPanics converts a panicking handler into a logged, counted 500
 // instead of a killed connection. Without it a panic unwinds into
 // net/http's connection-level recover: the client sees a reset with no
-// response and no metric moves — a loadgen run would silently lose the
-// request. Mounted inside InstrumentHandler so the 500 still lands in
+// response and no metric moves, so the request is silently lost to
+// every count. Mounted inside InstrumentHandler so the 500 still lands in
 // the per-route status counters.
 func (s *Server) recoverPanics(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -41,8 +41,8 @@
 // generated), echoed on the response; a stage recorder splits each
 // classify request into decode → queue-wait → classify → write and can
 // sample requests into a JSONL trace (Config.Trace). /v1/statz turns
-// the stage histograms into interpolated p50/p90/p95/p99 — the
-// server-side half of the `tdc loadgen` benchmark harness.
+// the stage histograms into interpolated p50/p90/p95/p99, which the
+// repository benchmark (perfbench) reads beside its client timings.
 package serve
 
 import (

@@ -11,6 +11,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -356,6 +358,106 @@ func TestServeQueueFull503(t *testing.T) {
 	reg := s.cfg.Metrics
 	if got := reg.Counter("serve.queue.rejected").Value(); got < 1 {
 		t.Errorf("serve.queue.rejected = %d, want >= 1", got)
+	}
+}
+
+// TestServeOverloadShedsFast proves the overload contract: once the
+// queue is full, every further request is shed at once with 503 and a
+// Retry-After hint, and the queued requests still complete with their
+// offline categories — overload never stalls into 504. The sheds are
+// all answered while no worker exists, so a shed never waits on
+// scoring; statz then accounts for every request.
+func TestServeOverloadShedsFast(t *testing.T) {
+	const queued, shed = 4, 12
+	f := getFixture(t)
+	s := newTestServer(t, f.pathA, func(c *Config) {
+		c.QueueDepth = queued
+		c.RequestTimeout = 30 * time.Second
+	})
+	// A worker-less pool: queued jobs wait until the test starts a
+	// worker itself.
+	s.pool.close()
+	s.pool = newPool(0, queued, s.cfg.Metrics, s.stages, s.stats)
+	hs := httptest.NewServer(s.Handler())
+	defer hs.Close()
+
+	doc := &f.corpus.Test[0]
+	body := fmt.Sprintf(`{"text":%q}`, docText(doc))
+	type reply struct {
+		status     int
+		retryAfter string
+		body       []byte
+		err        error
+	}
+	// fire sends k concurrent classify requests and returns the channel
+	// their replies arrive on.
+	fire := func(k int) <-chan reply {
+		out := make(chan reply, k)
+		for i := 0; i < k; i++ {
+			go func() {
+				resp, err := http.Post(hs.URL+"/v1/classify", "application/json", strings.NewReader(body))
+				if err != nil {
+					out <- reply{err: err}
+					return
+				}
+				defer resp.Body.Close()
+				b, err := io.ReadAll(resp.Body)
+				out <- reply{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: b, err: err}
+			}()
+		}
+		return out
+	}
+
+	inQueue := fire(queued)
+	for len(s.pool.queue) < queued {
+		select {
+		case r := <-inQueue:
+			t.Fatalf("request answered before the queue filled: status %d, err %v: %s", r.status, r.err, r.body)
+		default:
+			runtime.Gosched()
+		}
+	}
+	overflow := fire(shed)
+	for i := 0; i < shed; i++ {
+		r := <-overflow
+		if r.err != nil {
+			t.Fatalf("overflow request: %v", r.err)
+		}
+		if r.status != http.StatusServiceUnavailable {
+			t.Fatalf("overflow request: status %d, want 503: %s", r.status, r.body)
+		}
+		if ra, err := strconv.Atoi(r.retryAfter); err != nil || ra < 1 {
+			t.Errorf("503 Retry-After = %q, want whole seconds >= 1", r.retryAfter)
+		}
+	}
+
+	// Only now does a worker exist to drain the queue.
+	s.pool.wg.Add(1)
+	go s.pool.worker()
+	offline := fmt.Sprint(offlineCategories(t, f.modelA, doc))
+	for i := 0; i < queued; i++ {
+		r := <-inQueue
+		if r.err != nil {
+			t.Fatalf("queued request: %v", r.err)
+		}
+		if r.status != http.StatusOK {
+			t.Fatalf("queued request: status %d, want 200: %s", r.status, r.body)
+		}
+		if got := fmt.Sprint(decodeClassify(t, r.body).Results[0].Categories); got != offline {
+			t.Errorf("categories %s, want offline %s", got, offline)
+		}
+	}
+
+	sz := getStatz(t, hs.URL)
+	if sz.Requests.Total != queued+shed || sz.Requests.OK != queued ||
+		sz.Requests.Shed != shed || sz.Requests.Timeout != 0 {
+		t.Errorf("statz requests = %+v, want total %d, ok %d, shed %d, timeout 0",
+			sz.Requests, queued+shed, queued, shed)
+	}
+	for stage, want := range map[string]int64{"decode": queued + shed, "queue": queued, "classify": queued, "write": queued} {
+		if got := sz.Stages[stage].Count; got != want {
+			t.Errorf("stage %s count = %d, want %d", stage, got, want)
+		}
 	}
 }
 

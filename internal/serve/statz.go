@@ -12,8 +12,7 @@ import (
 // microseconds, plus count and mean. Percentiles are estimates within
 // the histogram's bucket resolution (exponential 1µs..8.6s bounds,
 // doubling), good to a factor of 2 worst-case and far better in
-// practice — and identical math on both sides of the loadgen
-// cross-check.
+// practice.
 type StageStatz struct {
 	Count  int64   `json:"count"`
 	MeanUS float64 `json:"mean_us"`
@@ -59,8 +58,7 @@ type StatzRequests struct {
 // StatzResponse is the GET /v1/statz reply: the serving performance
 // story in one document — per-stage latency percentiles, end-to-end
 // latency, throughput since start, live queue/inflight state and error
-// rates. `tdc loadgen` reads it before and after a run and cross-checks
-// its client-side measurements against the deltas.
+// rates.
 type StatzResponse struct {
 	ModelHash     string  `json:"model_hash"`
 	UptimeSeconds float64 `json:"uptime_seconds"`

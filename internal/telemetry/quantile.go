@@ -77,28 +77,6 @@ func (h HistogramSnapshot) Quantiles(qs ...float64) []float64 {
 	return out
 }
 
-// Sub returns this snapshot minus an earlier one of the same histogram,
-// bucket by bucket — the distribution of the observations between the
-// two snapshots. Counters only grow, so the diff is itself a valid
-// snapshot. Mismatched bucket shapes mean the snapshots are not from
-// the same histogram incarnation (a process restart, say); then the
-// receiver is returned whole rather than a nonsense diff.
-func (h HistogramSnapshot) Sub(prev HistogramSnapshot) HistogramSnapshot {
-	if len(prev.Counts) != len(h.Counts) || len(prev.Bounds) != len(h.Bounds) {
-		return h
-	}
-	out := HistogramSnapshot{
-		Count:  h.Count - prev.Count,
-		Sum:    h.Sum - prev.Sum,
-		Bounds: h.Bounds,
-		Counts: make([]int64, len(h.Counts)),
-	}
-	for i := range h.Counts {
-		out.Counts[i] = h.Counts[i] - prev.Counts[i]
-	}
-	return out
-}
-
 // Mean returns the snapshot's mean observation (0 when empty).
 func (h HistogramSnapshot) Mean() float64 {
 	if h.Count == 0 {

@@ -144,7 +144,7 @@ func TestStageRecorderConcurrent(t *testing.T) {
 
 // TestStageTraceZeroAllocWhenNotSampling is the sampling-off gate: a
 // full begin→observe→finish request trace must not allocate when no
-// request is sampled (the `make loadgen-smoke` / telemetry discipline).
+// request is sampled. `make telemetry-smoke` runs it.
 func TestStageTraceZeroAllocWhenNotSampling(t *testing.T) {
 	reg := NewRegistry()
 	rec := NewStageRecorder(reg, "z", nil, 0)
