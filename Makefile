@@ -48,8 +48,9 @@ test:
 	$(GO) test -vet=all ./...
 
 # The race detector is the backstop for the parallel evaluation engine
-# (SOM batch BMU search, GP tournament evaluation, encode/machine
-# caches): any unsynchronised access introduced later fails here.
+# (concurrent category word-map training, GP tournament evaluation,
+# encode/machine caches): any unsynchronised access introduced later
+# fails here.
 race:
 	$(GO) test -race ./...
 
@@ -63,11 +64,12 @@ race:
 race-serve:
 	$(GO) test -race -count=1 ./internal/serve/ ./internal/core/ ./internal/registry/
 
-# Short benchmark smoke over the evaluation-engine hot paths. Catches
-# benchmarks that stop compiling or panic; not a performance gate.
+# Short benchmark smoke over the evaluation-engine hot paths and the
+# concurrent encoder fit (hsom BenchmarkTrain). Catches benchmarks that
+# stop compiling or panic; not a performance gate.
 bench:
-	$(GO) test -run '^$$' -bench '^Benchmark(BMU|TrainEpoch|Tournament|RunSequence|ModelScore)' -benchtime 10x \
-		./internal/som/ ./internal/lgp/ .
+	$(GO) test -run '^$$' -bench '^Benchmark(BMU|Train|Tournament|RunSequence|ModelScore)' -benchtime 10x \
+		./internal/som/ ./internal/hsom/ ./internal/lgp/ .
 
 # Encode-kernel benchmarks with allocation reporting: the sparse/dense
 # level-2 BMU sweep, the cold-word path (fanout table vs legacy live

@@ -12,9 +12,10 @@ import (
 
 // perfFlags bundles the performance flags shared by the training and
 // evaluation subcommands: -workers bounds the evaluation engine's
-// parallelism (GP tournament evaluation, SOM batch BMU search, document
-// scoring), and -cpuprofile / -memprofile hook the subcommand up to
-// pprof. Training output is bit-identical for every -workers value.
+// parallelism (GP tournament evaluation, concurrent category word-map
+// training, document scoring), and -cpuprofile / -memprofile hook the
+// subcommand up to pprof. Training output is bit-identical for every
+// -workers value.
 type perfFlags struct {
 	workers    *int
 	cpuProfile *string

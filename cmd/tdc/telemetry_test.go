@@ -78,12 +78,14 @@ func TestCmdTrainMetricsSnapshot(t *testing.T) {
 			t.Errorf("snapshot counter %q missing or zero", name)
 		}
 	}
-	// The hit/miss pairs must be present (training encodes through the
-	// cache, so misses are guaranteed; pool counters register eagerly).
-	if snap.Counters["core.encode.cache.misses"] == 0 {
-		t.Errorf("encode-cache misses missing from snapshot: %v", snap.Counters)
+	// The hit/miss pairs must be present: the word-vector cache fills as
+	// the word maps train, so its misses are guaranteed; training skips
+	// the per-document encode cache, whose counters register eagerly,
+	// as the pool counters do.
+	if snap.Counters["hsom.wordvec.cache.misses"] == 0 {
+		t.Errorf("word-vector cache misses missing from snapshot: %v", snap.Counters)
 	}
-	for _, name := range []string{"core.encode.cache.hits", "core.machine.pool.hits", "core.machine.pool.misses"} {
+	for _, name := range []string{"core.encode.cache.hits", "core.encode.cache.misses", "core.machine.pool.hits", "core.machine.pool.misses"} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Errorf("snapshot missing counter %q", name)
 		}

@@ -43,10 +43,11 @@ type Config struct {
 	// number of categories.
 	Parallelism int
 	// Workers is the evaluation-engine worker count threaded through the
-	// pipeline: GP tournament evaluation (GP.Workers), SOM batch BMU
-	// search (Encoder.Workers) and document evaluation parallelism all
-	// default to it when they are unset. Zero leaves each stage's own
-	// default (GOMAXPROCS). Results are bit-identical for any value.
+	// pipeline: GP tournament evaluation (GP.Workers), how many category
+	// word maps train at once (Encoder.Workers) and document evaluation
+	// parallelism all default to it when they are unset. Zero leaves
+	// each stage's own default (GOMAXPROCS). Results are bit-identical
+	// for any value.
 	Workers int
 	// DropMembershipInput zeroes the Gaussian-membership dimension of
 	// every word code, leaving only the BMU index — the representation
@@ -419,14 +420,39 @@ func (m *Model) encodeCached(cat string, doc *corpus.Document) ([][]float64, []s
 }
 
 func (m *Model) trainCategory(cat string, train []corpus.Document) (*CategoryModel, error) {
+	// A word's code is a pure function of (category, word), so the keep
+	// vocabulary is encoded once and each document's inputs are looked
+	// up word by word: the inputs encode would build, without an encode
+	// of every document.
+	keep := m.keepSets[cat]
+	vocab := make([]string, 0, len(keep))
+	for w := range keep {
+		vocab = append(vocab, w)
+	}
+	sort.Strings(vocab)
+	codes, err := m.encoder.Encode(cat, vocab)
+	if err != nil {
+		return nil, err
+	}
+	inputOf := make(map[string][]float64, len(codes))
+	for _, code := range codes {
+		if !code.Member {
+			continue
+		}
+		membership := code.Membership
+		if m.cfg.DropMembershipInput {
+			membership = 0
+		}
+		inputOf[code.Word] = []float64{code.NormIndex, membership}
+	}
 	examples := make([]lgp.Example, 0, len(train))
 	for i := range train {
-		// The cached path keeps training determinism (encodings are pure
-		// functions of the document) while letting the encode-cache
-		// hit/miss counters cover training workloads too.
-		inputs, _, _, err := m.encodeCached(cat, &train[i])
-		if err != nil {
-			return nil, err
+		// Documents share each word's input slice; lgp only reads them.
+		var inputs [][]float64
+		for _, w := range train[i].Words {
+			if in, ok := inputOf[w]; ok {
+				inputs = append(inputs, in)
+			}
 		}
 		label := -1.0
 		if train[i].HasCategory(cat) {

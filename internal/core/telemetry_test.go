@@ -75,12 +75,18 @@ func TestTelemetryDoesNotPerturbModel(t *testing.T) {
 	}
 
 	// The registry must have covered SOM epochs, GP tournaments and the
-	// encode-cache counters (trainCategory re-encodes each document per
-	// restart through the cache).
+	// word-vector cache, which fills as the word maps train. Training
+	// encodes each keep vocabulary once, outside the per-document encode
+	// cache, so that cache's counters need only be registered.
 	snap := cfg.Metrics.Snapshot()
-	for _, name := range []string{"hsom.char.epochs", "hsom.word.epochs", "lgp.tournaments", "core.categories.trained", "core.encode.cache.misses"} {
+	for _, name := range []string{"hsom.char.epochs", "hsom.word.epochs", "lgp.tournaments", "core.categories.trained", "hsom.wordvec.cache.misses"} {
 		if snap.Counters[name] == 0 {
 			t.Errorf("counter %q is zero in snapshot", name)
+		}
+	}
+	for _, name := range []string{"core.encode.cache.hits", "core.encode.cache.misses"} {
+		if _, ok := snap.Counters[name]; !ok {
+			t.Errorf("counter %q not registered", name)
 		}
 	}
 	if snap.Histograms["core.category.train.seconds"].Count == 0 {

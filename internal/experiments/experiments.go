@@ -44,9 +44,9 @@ type Profile struct {
 	GP            lgp.Config
 	Restarts      int
 	// Workers is the evaluation-engine worker count threaded into
-	// core.Config.Workers (tournament evaluation, batch BMU search,
-	// document scoring). Zero keeps each stage's own default; results
-	// are bit-identical for any value.
+	// core.Config.Workers (tournament evaluation, concurrent category
+	// word-map training, document scoring). Zero keeps each stage's own
+	// default; results are bit-identical for any value.
 	Workers int
 	// Metrics, when non-nil, is threaded into core.Config.Metrics so
 	// experiment runs record pipeline telemetry. Diagnostics-only.

@@ -13,17 +13,7 @@ import (
 // real workload rather than the tiny test fixture.
 func benchEncoder(b *testing.B) (*Encoder, []string) {
 	b.Helper()
-	rng := rand.New(rand.NewSource(5))
-	vocab := make([]string, 400)
-	for i := range vocab {
-		n := 3 + rng.Intn(9)
-		w := make([]byte, n)
-		for j := range w {
-			w[j] = byte('a' + rng.Intn(26))
-		}
-		vocab[i] = string(w)
-	}
-	docs := benchDocs(rng, vocab)
+	vocab, docs := benchCorpus()
 	cfg := DefaultConfig()
 	cfg.CharEpochs, cfg.WordEpochs = 2, 3 // enough to spread the maps
 	enc, err := Train(cfg, docs)
@@ -93,6 +83,40 @@ func BenchmarkEncodeDocument(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkTrain measures a paper-geometry Train with the category
+// word maps fitted one at a time and on every core.
+func BenchmarkTrain(b *testing.B) {
+	_, docs := benchCorpus()
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Train(cfg, docs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// benchCorpus returns a synthetic 400-word vocabulary and the
+// two-category training documents benchDocs draws from it.
+func benchCorpus() ([]string, map[string][]corpus.Document) {
+	rng := rand.New(rand.NewSource(5))
+	vocab := make([]string, 400)
+	for i := range vocab {
+		n := 3 + rng.Intn(9)
+		w := make([]byte, n)
+		for j := range w {
+			w[j] = byte('a' + rng.Intn(26))
+		}
+		vocab[i] = string(w)
+	}
+	return vocab, benchDocs(rng, vocab)
 }
 
 func benchDocs(rng *rand.Rand, vocab []string) map[string][]corpus.Document {

@@ -23,6 +23,7 @@ package hsom
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -44,20 +45,23 @@ type Config struct {
 	// BMUFanout is how many first-level BMUs represent each character
 	// (paper: 3, with contributions 1, 1/2, 1/3).
 	BMUFanout int
-	// Workers bounds concurrent BMU searches during category training
-	// and encoding. Zero means runtime.GOMAXPROCS(0); results are
-	// identical for any worker count. It is a runtime knob, not a
-	// model parameter, so it is excluded from persisted snapshots.
+	// Workers bounds how many category word maps Train fits at once;
+	// each fit is single-threaded, so this bounds the cores training
+	// uses. Zero means runtime.GOMAXPROCS(0); results are identical for
+	// any worker count. It is a runtime knob, not a model parameter, so
+	// it is excluded from persisted snapshots.
 	Workers int `json:"-"`
 	// Metrics, when non-nil, receives encoder telemetry: per-level SOM
-	// epoch gauges, BMU-batch search timings and word-vector cache
-	// hit/miss counters. Diagnostics only — never persisted, never read
-	// back, so trained encoders are bit-identical with it on or off.
+	// epoch gauges and word-vector cache hit/miss counters. Diagnostics
+	// only — never persisted, never read back, so trained encoders are
+	// bit-identical with it on or off.
 	Metrics *telemetry.Registry `json:"-"`
 	// Epoch, when non-nil, is called after every SOM training epoch of
 	// either level with the level ("char" or "word"), the category (""
-	// for the character map) and the epoch statistics. Calls arrive from
-	// the training goroutine; diagnostics only. Excluded from snapshots.
+	// for the character map) and the epoch statistics. Word-map calls
+	// arrive concurrently from the per-category training goroutines, so
+	// the callback must be safe for concurrent use; diagnostics only.
+	// Excluded from snapshots.
 	Epoch func(level, category string, s som.EpochStats) `json:"-"`
 	// Seed drives weight initialisation at both levels.
 	Seed int64
@@ -234,7 +238,6 @@ type encMetrics struct {
 	// search instead of the fanout table (positions past the table
 	// bound).
 	wvFallback *telemetry.Counter
-	bmuBatch   telemetry.Timer
 }
 
 func newEncMetrics(reg *telemetry.Registry) encMetrics {
@@ -246,7 +249,6 @@ func newEncMetrics(reg *telemetry.Registry) encMetrics {
 		wvMiss:     reg.Counter("hsom.wordvec.cache.misses"),
 		wvStampede: reg.Counter("hsom.wordvec.cache.stampede"),
 		wvFallback: reg.Counter("hsom.wordvec.fanout.fallback"),
-		bmuBatch:   reg.Timer("hsom.bmu_batch.seconds"),
 	}
 }
 
@@ -335,13 +337,35 @@ func Train(cfg Config, perCategory map[string][]corpus.Document) (*Encoder, erro
 	// the category loop so level-2 training already encodes through it.
 	enc.fan = newFanoutTable(charMap, cfg.BMUFanout)
 
-	// Level 2: one word code-book per category, in deterministic order.
-	for seedOffset, cat := range cats {
-		ce, err := enc.trainCategory(cat, perCategory[cat], cfg.Seed+int64(seedOffset)+1)
-		if err != nil {
-			return nil, fmt.Errorf("hsom: category %s: %w", cat, err)
+	// Level 2: one word code-book per category. Each map has its own seed
+	// (by sorted position) and its own inputs, and shares only the frozen
+	// char map and the concurrency-safe word-vector cache, so the maps
+	// train concurrently, at most Workers at once, with the same bytes
+	// for any worker count.
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	sem := make(chan struct{}, workers)
+	ces := make([]*CategoryEncoder, len(cats))
+	errs := make([]error, len(cats))
+	var wg sync.WaitGroup
+	for i, cat := range cats {
+		docs := perCategory[cat]
+		wg.Add(1)
+		sem <- struct{}{}
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			ces[i], errs[i] = enc.trainCategory(cat, docs, cfg.Seed+int64(i)+1)
+		}()
+	}
+	wg.Wait()
+	for i, cat := range cats {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("hsom: category %s: %w", cat, errs[i])
 		}
-		enc.categories[cat] = ce
+		enc.categories[cat] = ces[i]
 	}
 	return enc, nil
 }
@@ -411,13 +435,13 @@ func (e *Encoder) trainCategory(cat string, docs []corpus.Document, seed int64) 
 		return nil, err
 	}
 
-	// BMU of every training word occurrence, sharded across workers.
-	sp := e.met.bmuBatch.Start()
-	bmus := wordMap.BMUBatch(wordVecs, e.cfg.Workers)
-	sp.End()
+	// BMU of every training word occurrence. A plain loop: Train already
+	// keeps the cores busy with one category per goroutine.
+	bmus := make([]int, len(wordVecs))
 	hits := make([]int, wordMap.Units())
-	for _, b := range bmus {
-		hits[b]++
+	for i, v := range wordVecs {
+		bmus[i] = wordMap.BMU(v)
+		hits[bmus[i]]++
 	}
 
 	selected := selectInformativeBMUs(hits, bmus, docRanges)

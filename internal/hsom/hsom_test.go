@@ -1,6 +1,8 @@
 package hsom
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
 	"strings"
@@ -88,6 +90,20 @@ func TestTrainRejectsEmpty(t *testing.T) {
 	}
 	if _, err := Train(tinyCfg(), empty); err == nil {
 		t.Error("documents without words accepted")
+	}
+	// Two word-less categories around a good one, their maps trained
+	// concurrently: the error reported is always the first in sorted
+	// order, whichever map fails first.
+	mixed := trainDocs()
+	mixed["acq"] = []corpus.Document{{ID: "a", Categories: []string{"acq"}}}
+	mixed["zinc"] = []corpus.Document{{ID: "z", Categories: []string{"zinc"}}}
+	cfg := tinyCfg()
+	cfg.Workers = 0
+	for i := 0; i < 20; i++ {
+		_, err := Train(cfg, mixed)
+		if err == nil || !strings.Contains(err.Error(), "acq") {
+			t.Fatalf("run %d: err = %v, want the error of category acq", i, err)
+		}
 	}
 }
 
@@ -314,18 +330,25 @@ func TestRenderHitGrid(t *testing.T) {
 	}
 }
 
+// TestTrainDeterministic requires byte-identical snapshots whether the
+// category maps train one at a time, several at once or on every core.
 func TestTrainDeterministic(t *testing.T) {
-	a, err := Train(tinyCfg(), trainDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Train(tinyCfg(), trainDocs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, _ := a.Encode("earn", []string{"profit", "dividend"})
-	cb, _ := b.Encode("earn", []string{"profit", "dividend"})
-	if !reflect.DeepEqual(ca, cb) {
-		t.Error("training not deterministic")
+	var want []byte
+	for _, workers := range []int{1, 3, 0} {
+		cfg := tinyCfg()
+		cfg.Workers = workers
+		enc, err := Train(cfg, trainDocs())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(enc.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !bytes.Equal(got, want) {
+			t.Errorf("Workers=%d: snapshot differs from Workers=1", workers)
+		}
 	}
 }

@@ -134,6 +134,14 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	}
 	tr := s.stages.Begin()
 	reqID := RequestIDFrom(r.Context())
+	// A full queue sheds before the body is read: decoding, tokenising
+	// and pinning a snapshot would only be spent on a request that
+	// submit then refuses.
+	if s.pool.full() {
+		s.pool.rejected.Inc()
+		s.shed(w, &tr, reqID, 0, ErrQueueFull)
+		return
+	}
 	decodeStart := time.Now()
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	req, reqDocs, err := decodeClassifyRequest(body, s.cfg.MaxBatch)
@@ -170,9 +178,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 
 	j := &job{ctx: ctx, docs: docs, snap: snap, done: make(chan struct{})}
 	if err := s.pool.submit(j); err != nil {
-		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
-		writeError(w, http.StatusServiceUnavailable, err.Error())
-		tr.Finish(reqID, len(reqDocs), "", http.StatusServiceUnavailable)
+		s.shed(w, &tr, reqID, len(reqDocs), err)
 		return
 	}
 
@@ -229,6 +235,13 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 	tr.Observe(telemetry.StageWrite, time.Since(writeStart))
 	tr.Finish(reqID, len(reqDocs), j.snap.Info.SHA256, http.StatusOK)
+}
+
+// shed answers 503 with a Retry-After hint and finishes the trace.
+func (s *Server) shed(w http.ResponseWriter, tr *telemetry.RequestTrace, reqID string, docs int, err error) {
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(s.cfg.RetryAfter)))
+	writeError(w, http.StatusServiceUnavailable, err.Error())
+	tr.Finish(reqID, docs, "", http.StatusServiceUnavailable)
 }
 
 // HealthResponse is the GET /v1/healthz reply. The hash identifies the

@@ -91,6 +91,11 @@ func (p *pool) submit(j *job) error {
 	}
 }
 
+// full reports whether every queue slot is taken, so the handler can
+// shed before it decodes a request. A slot may fill or drain after the
+// check; submit stays the authoritative one.
+func (p *pool) full() bool { return len(p.queue) == cap(p.queue) }
+
 // close stops accepting jobs and waits for queued ones to finish.
 func (p *pool) close() {
 	close(p.queue)

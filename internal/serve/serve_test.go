@@ -366,7 +366,7 @@ func TestServeQueueFull503(t *testing.T) {
 // Retry-After hint, and the queued requests still complete with their
 // offline categories — overload never stalls into 504. The sheds are
 // all answered while no worker exists, so a shed never waits on
-// scoring; statz then accounts for every request.
+// scoring, and none is decoded; statz then accounts for every request.
 func TestServeOverloadShedsFast(t *testing.T) {
 	const queued, shed = 4, 12
 	f := getFixture(t)
@@ -448,13 +448,18 @@ func TestServeOverloadShedsFast(t *testing.T) {
 		}
 	}
 
+	if got := s.cfg.Metrics.Counter("serve.queue.rejected").Value(); got != shed {
+		t.Errorf("serve.queue.rejected = %d, want %d", got, shed)
+	}
 	sz := getStatz(t, hs.URL)
 	if sz.Requests.Total != queued+shed || sz.Requests.OK != queued ||
 		sz.Requests.Shed != shed || sz.Requests.Timeout != 0 {
 		t.Errorf("statz requests = %+v, want total %d, ok %d, shed %d, timeout 0",
 			sz.Requests, queued+shed, queued, shed)
 	}
-	for stage, want := range map[string]int64{"decode": queued + shed, "queue": queued, "classify": queued, "write": queued} {
+	// A shed request is refused before its body is read: only the
+	// queued requests were decoded.
+	for stage, want := range map[string]int64{"decode": queued, "queue": queued, "classify": queued, "write": queued} {
 		if got := sz.Stages[stage].Count; got != want {
 			t.Errorf("stage %s count = %d, want %d", stage, got, want)
 		}

@@ -1,7 +1,6 @@
 package som
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -35,23 +34,6 @@ func BenchmarkBMU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.BMU(inputs[i%len(inputs)])
-	}
-}
-
-func BenchmarkBMUBatch(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 0} {
-		name := fmt.Sprintf("workers=%d", workers)
-		if workers == 0 {
-			name = "workers=all"
-		}
-		b.Run(name, func(b *testing.B) {
-			m, inputs := benchMap(b, 512)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.BMUBatch(inputs, workers)
-			}
-		})
 	}
 }
 

@@ -12,8 +12,7 @@
 // Weight storage is a single contiguous []float64 (unit-major) with a
 // cached squared norm per unit, so BMU search is one cache-friendly sweep
 // using the |x−w|² = |x|² − 2x·w + |w|² identity (|x|² is constant across
-// units and drops out of the argmin). BMUBatch shards independent BMU
-// queries across workers.
+// units and drops out of the argmin).
 //
 // Training is deterministic for a fixed Config.Seed, which the rest of
 // the system relies on for reproducible experiments.
@@ -24,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -257,47 +254,6 @@ func (m *Map) BMU(x []float64) int {
 		off += dim
 	}
 	return best
-}
-
-// BMUBatch computes the BMU of every input, sharding the (independent)
-// searches across workers goroutines. workers <= 0 means
-// runtime.GOMAXPROCS(0). The result is positionally identical to calling
-// BMU in a loop, for any worker count.
-func (m *Map) BMUBatch(inputs [][]float64, workers int) []int {
-	out := make([]int, len(inputs))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(inputs) {
-		workers = len(inputs)
-	}
-	if workers <= 1 {
-		for i, x := range inputs {
-			out[i] = m.BMU(x)
-		}
-		return out
-	}
-	var wg sync.WaitGroup
-	chunk := (len(inputs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(inputs) {
-			hi = len(inputs)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				out[i] = m.BMU(inputs[i])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	return out
 }
 
 // NearestK returns the k units closest to input x in weight space,
