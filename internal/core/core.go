@@ -160,16 +160,26 @@ type Model struct {
 	// per character, word-map BMU per word — dominates Score, and
 	// Classify/Evaluate re-score the same document once per category, so
 	// caching by document identity-plus-content-hash removes all repeat
-	// encodes. The cache is cleared wholesale when it exceeds
-	// encodeCacheCap entries, bounding memory on streaming workloads.
+	// encodes. The cache is cleared wholesale when it would exceed
+	// encodeCacheCap entries or encodeCacheBudget retained bytes,
+	// bounding memory on streaming workloads. encBytes sums the entries
+	// stored since the last clear (a concurrent re-store of one key
+	// counts twice, which only clears sooner).
 	encMu    sync.RWMutex
 	encCache map[encodeKey]encodedDoc
+	encBytes int
 }
 
-// encodeCacheCap bounds the encode cache; ~cap × (words per doc) small
-// slices. Exceeding it drops the whole cache (cheap, simple, and the
-// steady state of bounded evaluation sets never hits it).
-const encodeCacheCap = 8192
+// encodeCacheCap and encodeCacheBudget bound the encode cache by entry
+// count and by estimated retained bytes. Exceeding either drops the
+// whole cache (cheap, simple, and the steady state of bounded
+// evaluation sets never hits it); an entry larger than the budget is
+// returned uncached. The byte budget is what stops a few large
+// documents from pinning tens of megabytes each.
+const (
+	encodeCacheCap    = 8192
+	encodeCacheBudget = 32 << 20
+)
 
 type encodeKey struct {
 	cat  string
@@ -181,6 +191,20 @@ type encodedDoc struct {
 	inputs    [][]float64
 	words     []string
 	positions []int
+}
+
+// retainedBytes estimates the heap a cache entry keeps alive: its key
+// strings and its slices at full capacity, since encode sizes them to
+// the document's kept words, member or not.
+func (e encodedDoc) retainedBytes(key encodeKey) int {
+	n := len(key.cat) + len(key.id) + 16*cap(e.words) + 8*cap(e.positions) + 24*cap(e.inputs)
+	for _, in := range e.inputs {
+		n += 8 * cap(in)
+	}
+	for _, w := range e.words {
+		n += len(w)
+	}
+	return n
 }
 
 // wordsHash is FNV-1a over the document's words, so a cache entry can
@@ -410,11 +434,18 @@ func (m *Model) encodeCached(cat string, doc *corpus.Document) ([][]float64, []s
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	m.encMu.Lock()
-	if m.encCache == nil || len(m.encCache) >= encodeCacheCap {
-		m.encCache = make(map[encodeKey]encodedDoc)
+	e = encodedDoc{inputs: inputs, words: words, positions: positions}
+	size := e.retainedBytes(key)
+	if size > encodeCacheBudget {
+		return inputs, words, positions, nil
 	}
-	m.encCache[key] = encodedDoc{inputs: inputs, words: words, positions: positions}
+	m.encMu.Lock()
+	if m.encCache == nil || len(m.encCache) >= encodeCacheCap || m.encBytes+size > encodeCacheBudget {
+		m.encCache = make(map[encodeKey]encodedDoc)
+		m.encBytes = 0
+	}
+	m.encBytes += size
+	m.encCache[key] = e
 	m.encMu.Unlock()
 	return inputs, words, positions, nil
 }

@@ -53,6 +53,29 @@ func BenchmarkTournament(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainerRun times a whole run at the quick profile's GP
+// shape: population 30, DSS subsets of 40 redrawn every 50 tournaments,
+// four subsets in all. Unlike BenchmarkTournament it covers the DSS
+// path, where contestants and the difficulty update reuse the outputs
+// an unchanged program scored on the unchanged subset.
+func BenchmarkTrainerRun(b *testing.B) {
+	cfg := DefaultConfig()
+	cfg.PopulationSize = 30
+	cfg.Tournaments = 200
+	cfg.DSS = &DSSConfig{SubsetSize: 40, Interval: 50}
+	cfg.Seed = 7
+	cfg.Workers = 1
+	examples := benchExamples(100, 8, 3)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr, err := NewTrainer(cfg, examples)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr.Run()
+	}
+}
+
 // benchTraceSink keeps the compiler from eliding the Trace callback.
 var benchTraceSink TournamentStats
 

@@ -49,7 +49,8 @@ type Config struct {
 	// DSS enables Dynamic Subset Selection when non-nil.
 	DSS *DSSConfig
 	// Workers bounds concurrent fitness evaluations inside each
-	// tournament and in final model selection. Zero means
+	// tournament (of the contestants whose fitness on the active subset
+	// is not already known) and in final model selection. Zero means
 	// runtime.GOMAXPROCS(0); 1 forces the serial path. All RNG draws
 	// happen before evaluations fan out and evaluation is pure, so
 	// results are bit-identical for every worker count. It is a
@@ -238,6 +239,19 @@ type Trainer struct {
 	tourProgs []*Program
 	tourFit   []float64
 	tourSeen  []bool // len(pop), reset via tourIdx after each draw
+	stale     []int  // contestants to evaluate this tournament
+
+	// Tournament memo, one slot per population index. While
+	// slotFresh[i] holds, slotFit[i] is pop[i]'s fitness on the active
+	// subset and, under DSS, slotOut[i*outStride:][:len(subset)] its
+	// output on each subset example. Evaluation is pure, so a program
+	// that is neither replaced nor re-scored against a new subset keeps
+	// its values; a child overwriting the slot or a subset reselection
+	// makes it stale. Without DSS nothing reads outputs, so none are kept.
+	slotFit   []float64
+	slotOut   []float64
+	slotFresh []bool
+	outStride int
 
 	// dynamic page size state
 	pageSize    int
@@ -293,6 +307,13 @@ func NewTrainer(cfg Config, examples []Example) (*Trainer, error) {
 	t.tourProgs = make([]*Program, cfg.TournamentSize)
 	t.tourFit = make([]float64, cfg.TournamentSize)
 	t.tourSeen = make([]bool, cfg.PopulationSize)
+	t.stale = make([]int, 0, cfg.TournamentSize)
+	t.slotFit = make([]float64, cfg.PopulationSize)
+	t.slotFresh = make([]bool, cfg.PopulationSize)
+	if cfg.DSS != nil {
+		t.outStride = min(cfg.DSS.SubsetSize, len(examples))
+		t.slotOut = make([]float64, cfg.PopulationSize*t.outStride)
+	}
 	t.pop = make([]*Program, cfg.PopulationSize)
 	for i := range t.pop {
 		pages := 1 + t.rng.Intn(cfg.MaxPages)
@@ -315,12 +336,6 @@ func NewTrainer(cfg Config, examples []Example) (*Trainer, error) {
 	return t, nil
 }
 
-// predict runs one example through the trainer's own machine under the
-// configured recurrence mode.
-func (t *Trainer) predict(p *Program, ex *Example) float64 {
-	return t.predictOn(t.machine, p, ex)
-}
-
 // predictOn runs one example through an explicit machine — the pure
 // evaluation step that worker goroutines share-nothing over.
 func (t *Trainer) predictOn(m *Machine, p *Program, ex *Example) float64 {
@@ -334,14 +349,19 @@ func (t *Trainer) predictOn(m *Machine, p *Program, ex *Example) float64 {
 // indices. Lower is better. FitnessSSE is Equation 5; FitnessF1 is
 // (1-F1)·n plus a small SSE tie-breaker.
 func (t *Trainer) fitnessOn(p *Program, idxs []int) float64 {
-	return t.fitnessOnMachine(t.machine, p, idxs)
+	return t.fitnessOnMachine(t.machine, p, idxs, nil)
 }
 
-func (t *Trainer) fitnessOnMachine(m *Machine, p *Program, idxs []int) float64 {
+// fitnessOnMachine is fitnessOn on an explicit machine. When outs is
+// non-nil it also records the output on idxs[k] in outs[k].
+func (t *Trainer) fitnessOnMachine(m *Machine, p *Program, idxs []int, outs []float64) float64 {
 	var sse float64
 	var tp, fp, fn int
-	for _, i := range idxs {
+	for k, i := range idxs {
 		out := t.predictOn(m, p, &t.examples[i])
+		if outs != nil {
+			outs[k] = out
+		}
 		diff := t.examples[i].Label - out
 		sse += diff * diff
 		if t.cfg.Fitness == FitnessF1 {
@@ -372,19 +392,17 @@ func (t *Trainer) FullFitness(p *Program) float64 {
 	return t.fitnessOn(p, t.fullIdx)
 }
 
-// evalFitness computes fitnessOn(programs[i], idxs) for every program,
-// fanning the (pure, independent) evaluations out over the trainer's
-// worker machines. Results are written by index, so the output — and
-// therefore the whole evolutionary trajectory — is bit-identical to the
-// serial path for any worker count.
-func (t *Trainer) evalFitness(programs []*Program, idxs []int, out []float64) {
-	workers := t.workers
-	if workers > len(programs) {
-		workers = len(programs)
-	}
+// fanOut runs eval(m, j) for every j in [0, n), spreading the (pure,
+// independent) evaluations over the trainer's worker machines: worker w
+// takes j = w, w+workers, ... on machines[w]. Each call writes only its
+// own outputs, so the results — and therefore the whole evolutionary
+// trajectory — are bit-identical to the serial path for any worker
+// count.
+func (t *Trainer) fanOut(n int, eval func(m *Machine, j int)) {
+	workers := min(t.workers, n)
 	if workers <= 1 {
-		for i, p := range programs {
-			out[i] = t.fitnessOnMachine(t.machines[0], p, idxs)
+		for j := 0; j < n; j++ {
+			eval(t.machines[0], j)
 		}
 		return
 	}
@@ -393,12 +411,23 @@ func (t *Trainer) evalFitness(programs []*Program, idxs []int, out []float64) {
 	for w := 0; w < workers; w++ {
 		go func(w int, m *Machine) {
 			defer wg.Done()
-			for i := w; i < len(programs); i += workers {
-				out[i] = t.fitnessOnMachine(m, programs[i], idxs)
+			for j := w; j < n; j += workers {
+				eval(m, j)
 			}
 		}(w, t.machines[w])
 	}
 	wg.Wait()
+}
+
+// evalSlot scores pop[i] on the active subset into its memo slot,
+// recording its subset outputs too under DSS.
+func (t *Trainer) evalSlot(m *Machine, i int) {
+	var outs []float64
+	if t.slotOut != nil {
+		outs = t.slotOut[i*t.outStride:][:len(t.subset)]
+	}
+	t.slotFit[i] = t.fitnessOnMachine(m, t.pop[i], t.subset, outs)
+	t.slotFresh[i] = true
 }
 
 // selectSubset draws a new DSS subset by roulette over
@@ -463,6 +492,7 @@ func (t *Trainer) selectSubset() {
 			t.age[i]++
 		}
 	}
+	clear(t.slotFresh) // every memoised value was on the old subset
 }
 
 // drawFrom roulette-selects count distinct indices from pool into the
@@ -524,15 +554,21 @@ func powf(base, exp float64) float64 {
 	return out
 }
 
-// updateDifficulty bumps the difficulty of subset examples the
-// tournament winner misclassified and decays the rest.
-func (t *Trainer) updateDifficulty(winner *Program) {
+// updateDifficulty bumps the difficulty of subset examples the program
+// in population slot win misclassified and decays the rest. It reads
+// the slot's memoised outputs, evaluating only when a child has
+// overwritten the slot since its contest (tournaments of two, where the
+// second child replaces the winner).
+func (t *Trainer) updateDifficulty(win int) {
 	if t.cfg.DSS == nil {
 		return
 	}
-	for _, i := range t.subset {
-		out := t.predict(winner, &t.examples[i])
-		if out*t.examples[i].Label <= 0 {
+	if !t.slotFresh[win] {
+		t.evalSlot(t.machine, win)
+	}
+	outs := t.slotOut[win*t.outStride:][:len(t.subset)]
+	for k, i := range t.subset {
+		if outs[k]*t.examples[i].Label <= 0 {
 			t.difficulty[i]++
 		} else if t.difficulty[i] > 0 {
 			t.difficulty[i]--
@@ -581,7 +617,9 @@ func (t *Trainer) Run() *Result {
 	// Final model selection over the population on the full training set,
 	// evaluated in parallel (pure) with a deterministic serial argmin.
 	fits := make([]float64, len(t.pop))
-	t.evalFitness(t.pop, t.fullIdx, fits)
+	t.fanOut(len(t.pop), func(m *Machine, i int) {
+		fits[i] = t.fitnessOnMachine(m, t.pop[i], t.fullIdx, nil)
+	})
 	bestIdx, bestFit := 0, fits[0]
 	for i := 1; i < len(fits); i++ {
 		if fits[i] < bestFit {
@@ -600,7 +638,9 @@ func (t *Trainer) Run() *Result {
 //
 // All RNG draws (contestant selection) happen before the fitness
 // evaluations fan out across workers; evaluation itself is pure, so the
-// trajectory is bit-identical for any worker count.
+// trajectory is bit-identical for any worker count. Only contestants
+// without a fresh memo slot are evaluated; the rest reuse the fitness
+// their unchanged program scored on the unchanged subset.
 func (t *Trainer) tournament() float64 {
 	k := t.cfg.TournamentSize
 	t.tourIdx = t.tourIdx[:0]
@@ -611,14 +651,19 @@ func (t *Trainer) tournament() float64 {
 			t.tourIdx = append(t.tourIdx, i)
 		}
 	}
+	t.stale = t.stale[:0]
 	for _, i := range t.tourIdx {
 		t.tourSeen[i] = false
+		if !t.slotFresh[i] {
+			t.stale = append(t.stale, i)
+		}
 	}
+	t.fanOut(len(t.stale), func(m *Machine, j int) { t.evalSlot(m, t.stale[j]) })
+	fit := t.tourFit[:k]
 	for i, pi := range t.tourIdx {
 		t.tourProgs[i] = t.pop[pi]
+		fit[i] = t.slotFit[pi]
 	}
-	fit := t.tourFit[:k]
-	t.evalFitness(t.tourProgs[:k], t.subset, fit)
 	// Sort contestants ascending by fitness (lower SSE is better),
 	// carrying the population indices along.
 	idx := t.tourIdx
@@ -633,7 +678,9 @@ func (t *Trainer) tournament() float64 {
 	t.vary(child1, child2)
 	t.pop[idx[k-1]] = child1
 	t.pop[idx[k-2]] = child2
-	t.updateDifficulty(t.pop[idx[0]])
+	t.slotFresh[idx[k-1]] = false
+	t.slotFresh[idx[k-2]] = false
+	t.updateDifficulty(idx[0])
 	return fit[0]
 }
 

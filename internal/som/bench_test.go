@@ -61,24 +61,39 @@ func BenchmarkBMUSparse(b *testing.B) {
 	})
 }
 
+// BenchmarkTrainEpoch times one training epoch of each level's map
+// shape: the 7×13 character map over two-dimensional inputs, and an
+// 8×8 word map over word-vector-shaped sparse 91-dimensional inputs in
+// which repeated words share one slice, as in hsom.
 func BenchmarkTrainEpoch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	inputs := make([][]float64, 2000)
-	for i := range inputs {
-		inputs[i] = []float64{1 + rng.Float64()*25, 1 + rng.Float64()*24}
+	chars := make([][]float64, 2000)
+	for i := range chars {
+		chars[i] = []float64{1 + rng.Float64()*25, 1 + rng.Float64()*24}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := New(Config{
-			Width: 7, Height: 13, Dim: 2, Epochs: 1,
-			InitialLearningRate: 0.5, Seed: int64(i),
-		}, 26)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Train(inputs); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name   string
+		cfg    Config
+		scale  float64
+		inputs [][]float64
+	}{
+		{"char-7x13", Config{Width: 7, Height: 13, Dim: 2, Epochs: 1, InitialLearningRate: 0.5}, 26, chars},
+		{"word-8x8", Config{Width: 8, Height: 8, Dim: 91, Epochs: 1, InitialLearningRate: 0.3}, 3, wordStream(rng, 150, 2000)},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := tc.cfg
+				cfg.Seed = int64(i)
+				m, err := New(cfg, tc.scale)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.Train(tc.inputs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -169,14 +169,6 @@ func (m *Map) Coords(u int) (x, y int) {
 // UnitAt returns the unit index at grid position (x, y).
 func (m *Map) UnitAt(x, y int) int { return y*m.cfg.Width + x }
 
-// gridDist2 is the squared Euclidean distance between two units on the grid.
-func (m *Map) gridDist2(a, b int) float64 {
-	ax, ay := m.Coords(a)
-	bx, by := m.Coords(b)
-	dx, dy := float64(ax-bx), float64(ay-by)
-	return dx*dx + dy*dy
-}
-
 // dist2 is the squared Euclidean distance between input x and unit u's
 // weight vector.
 func (m *Map) dist2(x []float64, u int) float64 {
@@ -299,6 +291,12 @@ func (m *Map) NearestK(x []float64, k int) []int {
 // Train runs online SOM training over the inputs for the configured
 // number of epochs, recording the average weight change (AWC) per epoch.
 // Every input must have dimension Config.Dim.
+//
+// Within a step the Gaussian neighbourhood weight depends only on a
+// unit's integer squared grid distance to the BMU, so each step
+// computes it once per distance that occurs and reuses it for every
+// other unit at that distance — the same expression on the same
+// operands, so the trained weights are unchanged.
 func (m *Map) Train(inputs [][]float64) error {
 	if len(inputs) == 0 {
 		return errors.New("som: no training inputs")
@@ -318,6 +316,13 @@ func (m *Map) Train(inputs [][]float64) error {
 	lambda := float64(totalSteps) / math.Max(math.Log(m.cfg.InitialRadius), 1e-9)
 	step := 0
 	m.awc = m.awc[:0]
+	// weightAt[g2] is the neighbourhood weight at squared grid distance
+	// g2 for the step recorded in filledAt[g2] (stored as step+1, so the
+	// zero value means never filled). Filled lazily: early steps reach
+	// more distances than there are units.
+	maxG2 := (m.cfg.Width-1)*(m.cfg.Width-1) + (m.cfg.Height-1)*(m.cfg.Height-1)
+	weightAt := make([]float64, maxG2+1)
+	filledAt := make([]int, maxG2+1)
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		var epochStart time.Time
 		if m.cfg.Observer != nil {
@@ -362,13 +367,22 @@ func (m *Map) Train(inputs [][]float64) error {
 				y1 = m.cfg.Height - 1
 			}
 			for gy := y0; gy <= y1; gy++ {
+				dy := gy - by
 				for gx := x0; gx <= x1; gx++ {
-					u := m.UnitAt(gx, gy)
-					g2 := m.gridDist2(u, bmu)
+					dx := gx - bx
+					// Integer squares convert to float64 exactly, so this
+					// is the grid distance the float formula gives.
+					d2 := dx*dx + dy*dy
+					g2 := float64(d2)
 					if g2 > 9*r2 {
 						continue
 					}
-					h := math.Exp(-g2 / (2 * r2))
+					if filledAt[d2] != step+1 {
+						weightAt[d2] = math.Exp(-g2 / (2 * r2))
+						filledAt[d2] = step + 1
+					}
+					h := weightAt[d2]
+					u := m.UnitAt(gx, gy)
 					w := m.Weights(u)
 					// Accumulate the new squared norm while updating, in the
 					// same order updateNorm would, saving a second pass.

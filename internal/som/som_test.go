@@ -88,7 +88,9 @@ func TestTrainSeparatesClusters(t *testing.T) {
 	if aBMU == bBMU {
 		t.Fatalf("separated clusters share BMU %d", aBMU)
 	}
-	if d := m.gridDist2(aBMU, bBMU); d < 4 {
+	ax, ay := m.Coords(aBMU)
+	bx, by := m.Coords(bBMU)
+	if d := (ax-bx)*(ax-bx) + (ay-by)*(ay-by); d < 4 {
 		t.Errorf("cluster BMUs too close on grid: dist2=%v", d)
 	}
 	// Quantization error must be small relative to the cluster separation.
