@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-seeded lint-baseline test race race-serve bench bench-encode encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke perfbench-check fmt-check ci
+.PHONY: all build vet lint lint-seeded lint-baseline test recorded-nofma race race-serve bench bench-encode encode-smoke telemetry-smoke fuzz-smoke serve-smoke registry-smoke perfbench-check fmt-check ci
 
 all: build
 
@@ -46,6 +46,15 @@ lint-baseline:
 
 test:
 	$(GO) test -vet=all ./...
+
+# The recorded-bits walls pin trained bytes to digests, one set per
+# math.Exp code path on amd64: with FMA, which `test` runs on CPUs that
+# have it, and without, which this target forces with
+# GODEBUG=cpu.fma=off. TestPathFollowsGODEBUG fails if the setting stops
+# selecting the path without FMA.
+recorded-nofma:
+	GODEBUG=cpu.fma=off $(GO) test -count=1 -run '^(TestTrainRecordedBits|TestSmokeSnapshotsRecorded|TestRunRecordedBits|TestPathFollowsGODEBUG)$$' \
+		./internal/som/ ./internal/core/ ./internal/lgp/ ./internal/exppath/
 
 # The race detector is the backstop for the parallel evaluation engine
 # (concurrent category word-map training, GP tournament evaluation,
@@ -152,4 +161,4 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-ci: fmt-check vet lint lint-seeded build test race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke perfbench-check
+ci: fmt-check vet lint lint-seeded build test recorded-nofma race race-serve bench telemetry-smoke encode-smoke fuzz-smoke serve-smoke registry-smoke perfbench-check

@@ -47,7 +47,10 @@ type Config struct {
 	// word maps train at once (Encoder.Workers) and document evaluation
 	// parallelism all default to it when they are unset. Zero leaves
 	// each stage's own default (GOMAXPROCS). Results are bit-identical
-	// for any value.
+	// for any value. It does not count the goroutine each SOM training
+	// call runs beside its loop to compute the step schedule ahead (see
+	// som.Map.Train), so the encoder's training phase can keep up to
+	// twice Workers goroutines busy.
 	Workers int
 	// DropMembershipInput zeroes the Gaussian-membership dimension of
 	// every word code, leaving only the BMU index — the representation
@@ -194,8 +197,7 @@ type encodedDoc struct {
 }
 
 // retainedBytes estimates the heap a cache entry keeps alive: its key
-// strings and its slices at full capacity, since encode sizes them to
-// the document's kept words, member or not.
+// strings and its slices at full capacity.
 func (e encodedDoc) retainedBytes(key encodeKey) int {
 	n := len(key.cat) + len(key.id) + 16*cap(e.words) + 8*cap(e.positions) + 24*cap(e.inputs)
 	for _, in := range e.inputs {
@@ -399,9 +401,17 @@ func (m *Model) encode(cat string, doc *corpus.Document) ([][]float64, []string,
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	inputs := make([][]float64, 0, len(codes))
-	words := make([]string, 0, len(codes))
-	positions := make([]int, 0, len(codes))
+	// Only member words are kept, and the encode cache keeps these
+	// slices at their capacity, so size them to the members exactly.
+	members := 0
+	for _, code := range codes {
+		if code.Member {
+			members++
+		}
+	}
+	inputs := make([][]float64, 0, members)
+	words := make([]string, 0, members)
+	positions := make([]int, 0, members)
 	for k, code := range codes {
 		if !code.Member {
 			continue

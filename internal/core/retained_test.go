@@ -19,7 +19,7 @@ var raceDetector bool
 // requires the model to keep at most a fixed budget of them alive.
 // Each document holds 100,000 member words and would still fit a
 // 1 MiB request body. Encoding one builds, per category, slices sized
-// to its kept words; a cache that kept each of them would retain tens
+// to its member words; a cache that kept each of them would retain tens
 // of megabytes per request.
 func TestClassifyRetainsBoundedHeap(t *testing.T) {
 	if testing.Short() || raceDetector {
@@ -30,9 +30,10 @@ func TestClassifyRetainsBoundedHeap(t *testing.T) {
 		words    = 100_000
 		budget   = 32 << 20 // what the model may retain across requests
 		bodySize = 1 << 20  // serving's default request body limit
-		// One document's encoding: three slices per category sized to
-		// its kept words (input headers 24 B, word headers 16 B,
-		// positions 8 B) plus one two-float input per member word.
+		// One document's encoding, at most: three slices per category
+		// sized to its member words, here up to all of them (input
+		// headers 24 B, word headers 16 B, positions 8 B), plus one
+		// two-float input per member word.
 		perWordCat = 24 + 16 + 8 + 16
 	)
 	m := smokeModel(t, featsel.DF)

@@ -45,11 +45,13 @@ type Config struct {
 	// BMUFanout is how many first-level BMUs represent each character
 	// (paper: 3, with contributions 1, 1/2, 1/3).
 	BMUFanout int
-	// Workers bounds how many category word maps Train fits at once;
-	// each fit is single-threaded, so this bounds the cores training
-	// uses. Zero means runtime.GOMAXPROCS(0); results are identical for
-	// any worker count. It is a runtime knob, not a model parameter, so
-	// it is excluded from persisted snapshots.
+	// Workers bounds how many category word maps Train fits at once.
+	// Each fit is one training loop plus the goroutine som.Map.Train
+	// runs beside it to compute the step schedule ahead, which Workers
+	// does not count, so even Workers 1 can keep two cores busy. Zero
+	// means runtime.GOMAXPROCS(0); results are identical for any worker
+	// count. It is a runtime knob, not a model parameter, so it is
+	// excluded from persisted snapshots.
 	Workers int `json:"-"`
 	// Metrics, when non-nil, receives encoder telemetry: per-level SOM
 	// epoch gauges and word-vector cache hit/miss counters. Diagnostics
@@ -435,13 +437,25 @@ func (e *Encoder) trainCategory(cat string, docs []corpus.Document, seed int64) 
 		return nil, err
 	}
 
-	// BMU of every training word occurrence. A plain loop: Train already
-	// keeps the cores busy with one category per goroutine.
+	// BMU of every training word occurrence. A word's vector is a pure
+	// function of the word, so each distinct word is looked up once. A
+	// plain loop: Train already keeps the cores busy with one category
+	// per goroutine.
 	bmus := make([]int, len(wordVecs))
 	hits := make([]int, wordMap.Units())
-	for i, v := range wordVecs {
-		bmus[i] = wordMap.BMU(v)
-		hits[bmus[i]]++
+	bmuOf := make(map[string]int)
+	i := 0
+	for d := range docs {
+		for _, w := range docs[d].Words {
+			b, ok := bmuOf[w]
+			if !ok {
+				b = wordMap.BMU(wordVecs[i])
+				bmuOf[w] = b
+			}
+			bmus[i] = b
+			hits[b]++
+			i++
+		}
 	}
 
 	selected := selectInformativeBMUs(hits, bmus, docRanges)

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"runtime"
 	"testing"
+
+	"temporaldoc/internal/exppath"
 )
 
 // resultDigest is the sha256 of every bit a run produces: the
@@ -40,12 +41,15 @@ func resultDigest(res *Result) string {
 // the difficulty update), the F1 objective, stratified subsets and the
 // non-recurrent ablation. Each case runs serially and on three workers.
 //
-// The digests are platform arithmetic: other architectures may fuse
-// multiply-adds, so the test runs on amd64 only. A change that moves
-// the trajectory on purpose must re-record them and say why.
+// The digests are platform arithmetic. math.Exp rounds some values
+// differently with and without FMA, so amd64 has one set per exp path
+// (see exppath); elsewhere the test skips. Only the non-recurrent case
+// differs between the two paths. A change that moves the trajectory on
+// purpose must re-record both sets and say why.
 func TestRunRecordedBits(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests were recorded on amd64")
+	path := exppath.Path()
+	if path == "" {
+		t.Skip("no digests recorded for this platform's exp")
 	}
 	cases := []struct {
 		name string
@@ -59,6 +63,10 @@ func TestRunRecordedBits(t *testing.T) {
 		{"f1", func(c *Config) { c.Fitness = FitnessF1 }, "9e53ff20dc95bc57a4e3858beca8916f767a455eea817fb1ef5ec26fd36ab258"},
 		{"stratify", func(c *Config) { c.DSS.Stratify = true }, "84a136b8e0000fa54a99c5fac3f4c2e4d7710f291bdca2f4c7d0d8dd035a49a5"},
 		{"non-recurrent", func(c *Config) { c.Recurrent = false }, "dd06e30c53d37c7fbfe6791c7518ea2a95a900b5aeea560a46c41c3096ab90c9"},
+	}
+	// The digests without FMA, where they differ.
+	noFMA := map[string]string{
+		"non-recurrent": "a8dbc26925d5d5b6f0b01f8aa0ae45bcc847012ac31b82d7383be53a1dcb78c1",
 	}
 	examples := benchExamples(36, 10, 5)
 	for i := range examples {
@@ -84,8 +92,12 @@ func TestRunRecordedBits(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := resultDigest(tr.Run()); got != tc.want {
-					t.Errorf("workers=%d: digest %s, recorded %s", workers, got, tc.want)
+				want := tc.want
+				if d, ok := noFMA[tc.name]; ok && path == "no-fma" {
+					want = d
+				}
+				if got := resultDigest(tr.Run()); got != want {
+					t.Errorf("workers=%d: digest %s, recorded %s (%s exp)", workers, got, want, path)
 				}
 			}
 		})

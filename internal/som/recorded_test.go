@@ -5,8 +5,9 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"math/rand"
-	"runtime"
 	"testing"
+
+	"temporaldoc/internal/exppath"
 )
 
 // snapshotDigest is the sha256 of the map's snapshot JSON: every
@@ -44,12 +45,14 @@ func wordStream(rng *rand.Rand, vocab, n int) [][]float64 {
 // with the paper's settings (no shuffling). Any change to the update
 // arithmetic or its order shows up as a digest change.
 //
-// The digests are platform arithmetic: other architectures may fuse
-// multiply-adds, so the test runs on amd64 only. A change that moves
-// the weights on purpose must re-record them and say why.
+// The digests are platform arithmetic. math.Exp rounds some values
+// differently with and without FMA, so amd64 has one set per exp path
+// (see exppath); elsewhere the test skips. A change that moves the
+// weights on purpose must re-record both sets and say why.
 func TestTrainRecordedBits(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("digests were recorded on amd64")
+	path := exppath.Path()
+	if path == "" {
+		t.Skip("no digests recorded for this platform's exp")
 	}
 	rng := rand.New(rand.NewSource(23))
 	chars := make([][]float64, 600)
@@ -61,16 +64,22 @@ func TestTrainRecordedBits(t *testing.T) {
 		cfg    Config
 		scale  float64
 		inputs [][]float64
-		want   string
+		want   map[string]string // by exp path
 	}{
 		{"char-7x13", Config{
 			Width: 7, Height: 13, Dim: 2, Epochs: 2,
 			InitialLearningRate: 0.5, Seed: 2,
-		}, 26, chars, "cc28f5ff0cd58983493ada9b31e2c0ed68f42fd5e83853a61e9eb19ad6c11929"},
+		}, 26, chars, map[string]string{
+			"fma":    "cc28f5ff0cd58983493ada9b31e2c0ed68f42fd5e83853a61e9eb19ad6c11929",
+			"no-fma": "c06506520aa44ff2331f6cfeb851fa6a52953442263e4f8303184db45c45bf7e",
+		}},
 		{"word-8x8", Config{
 			Width: 8, Height: 8, Dim: 91, Epochs: 4,
 			InitialLearningRate: 0.3, Seed: 3,
-		}, 3, wordStream(rng, 40, 300), "fdd4351d2f9829ea7dc11e322b13b5daf860d88f22e0422b9b3a471042ed0ca9"},
+		}, 3, wordStream(rng, 40, 300), map[string]string{
+			"fma":    "fdd4351d2f9829ea7dc11e322b13b5daf860d88f22e0422b9b3a471042ed0ca9",
+			"no-fma": "d7d1920c4bebc8d193dd382bd993c24f1f230a0d524b2d44e252d6d1607afe3c",
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -81,8 +90,8 @@ func TestTrainRecordedBits(t *testing.T) {
 			if err := m.Train(tc.inputs); err != nil {
 				t.Fatal(err)
 			}
-			if got := snapshotDigest(t, m); got != tc.want {
-				t.Errorf("digest %s, recorded %s", got, tc.want)
+			if got, want := snapshotDigest(t, m), tc.want[path]; got != want {
+				t.Errorf("digest %s, recorded %s (%s exp)", got, want, path)
 			}
 		})
 	}

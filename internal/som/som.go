@@ -220,31 +220,7 @@ func (m *Map) score(x []float64, u int) float64 {
 //
 //tdlint:hotpath
 func (m *Map) BMU(x []float64) int {
-	dim := len(x)
-	best, bestS := 0, math.Inf(1)
-	off := 0
-	for u, n2 := range m.norm2 {
-		// dotProduct inlined by hand (its loops defeat the inliner and a
-		// per-unit call dominates at small dims); arithmetic is identical,
-		// so BMU and score agree bit for bit.
-		w := m.flat[off : off+dim : off+dim]
-		var s0, s1, s2, s3 float64
-		i := 0
-		for ; i+4 <= dim; i += 4 {
-			s0 += x[i] * w[i]
-			s1 += x[i+1] * w[i+1]
-			s2 += x[i+2] * w[i+2]
-			s3 += x[i+3] * w[i+3]
-		}
-		for ; i < dim; i++ {
-			s0 += x[i] * w[i]
-		}
-		s := n2 - 2*((s0+s1)+(s2+s3))
-		if s < bestS {
-			best, bestS = u, s
-		}
-		off += dim
-	}
+	best, _ := m.scoreRange(x, 0, len(m.norm2), 0, math.Inf(1))
 	return best
 }
 
@@ -292,11 +268,17 @@ func (m *Map) NearestK(x []float64, k int) []int {
 // number of epochs, recording the average weight change (AWC) per epoch.
 // Every input must have dimension Config.Dim.
 //
-// Within a step the Gaussian neighbourhood weight depends only on a
-// unit's integer squared grid distance to the BMU, so each step
-// computes it once per distance that occurs and reuses it for every
-// other unit at that distance — the same expression on the same
-// operands, so the trained weights are unchanged.
+// Each step is one pass over the map in unit order (see step): units
+// near the BMU are pulled towards the input, and every unit is scored
+// against the next input on its new weights, so the pass ends with the
+// next step's BMU. BMU itself runs once per epoch, on its first input.
+// The learning rate, radius and Gaussian neighbourhood weights depend on
+// the step index alone, and a goroutine computes them ahead of the loop
+// (see schedule). That goroutine runs for the length of the call, so
+// one Train call can keep two cores busy, and it has exited by the time
+// Train returns. Every value is the same expression on the same operands
+// in the same order as an update followed by a BMU sweep, so the trained
+// weights are the bits that sequence gives.
 func (m *Map) Train(inputs [][]float64) error {
 	if len(inputs) == 0 {
 		return errors.New("som: no training inputs")
@@ -314,15 +296,9 @@ func (m *Map) Train(inputs [][]float64) error {
 	totalSteps := m.cfg.Epochs * len(inputs)
 	// Exponential radius decay time constant so radius reaches ~1 at end.
 	lambda := float64(totalSteps) / math.Max(math.Log(m.cfg.InitialRadius), 1e-9)
-	step := 0
 	m.awc = m.awc[:0]
-	// weightAt[g2] is the neighbourhood weight at squared grid distance
-	// g2 for the step recorded in filledAt[g2] (stored as step+1, so the
-	// zero value means never filled). Filled lazily: early steps reach
-	// more distances than there are units.
-	maxG2 := (m.cfg.Width-1)*(m.cfg.Width-1) + (m.cfg.Height-1)*(m.cfg.Height-1)
-	weightAt := make([]float64, maxG2+1)
-	filledAt := make([]int, maxG2+1)
+	plans := m.startSchedule(totalSteps, lambda)
+	defer plans.stop()
 	for epoch := 0; epoch < m.cfg.Epochs; epoch++ {
 		var epochStart time.Time
 		if m.cfg.Observer != nil {
@@ -332,74 +308,21 @@ func (m *Map) Train(inputs [][]float64) error {
 			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		}
 		var change float64
-		var updates int
+		var updated int
 		var lastLR, lastRadius float64
-		for _, idx := range order {
-			x := inputs[idx]
-			t := float64(step) / float64(totalSteps)
-			lr := m.cfg.InitialLearningRate + t*(m.cfg.FinalLearningRate-m.cfg.InitialLearningRate)
-			radius := m.cfg.InitialRadius * math.Exp(-float64(step)/lambda)
-			if radius < 0.5 {
-				radius = 0.5
-			}
-			lastLR, lastRadius = lr, radius
-			bmu := m.BMU(x)
-			r2 := radius * radius
-			// Only units within 3 radii of the BMU receive a non-negligible
-			// Gaussian pull; restrict the sweep to that bounding box instead
-			// of scanning the whole grid. Units inside the box but outside
-			// the circular cutoff are skipped exactly as before, so the
-			// update sequence is bit-identical to a full-grid sweep.
-			bx, by := m.Coords(bmu)
-			reach := int(3 * radius)
-			x0, x1 := bx-reach, bx+reach
-			y0, y1 := by-reach, by+reach
-			if x0 < 0 {
-				x0 = 0
-			}
-			if y0 < 0 {
-				y0 = 0
-			}
-			if x1 >= m.cfg.Width {
-				x1 = m.cfg.Width - 1
-			}
-			if y1 >= m.cfg.Height {
-				y1 = m.cfg.Height - 1
-			}
-			for gy := y0; gy <= y1; gy++ {
-				dy := gy - by
-				for gx := x0; gx <= x1; gx++ {
-					dx := gx - bx
-					// Integer squares convert to float64 exactly, so this
-					// is the grid distance the float formula gives.
-					d2 := dx*dx + dy*dy
-					g2 := float64(d2)
-					if g2 > 9*r2 {
-						continue
-					}
-					if filledAt[d2] != step+1 {
-						weightAt[d2] = math.Exp(-g2 / (2 * r2))
-						filledAt[d2] = step + 1
-					}
-					h := weightAt[d2]
-					u := m.UnitAt(gx, gy)
-					w := m.Weights(u)
-					// Accumulate the new squared norm while updating, in the
-					// same order updateNorm would, saving a second pass.
-					var nrm float64
-					for d := range w {
-						delta := lr * h * (x[d] - w[d])
-						w[d] += delta
-						change += math.Abs(delta)
-						updates++
-						nrm += w[d] * w[d]
-					}
-					m.norm2[u] = nrm
-				}
-			}
-			step++
+		bmu := m.BMU(inputs[order[0]])
+		for k, idx := range order {
+			p := plans.next()
+			lastLR, lastRadius = p.lr, p.radius
+			// The epoch's last step scores its own input and drops the
+			// result: the next epoch may reshuffle, so it starts from its
+			// own BMU sweep.
+			next := inputs[order[min(k+1, len(order)-1)]]
+			var n int
+			bmu, n, change = m.step(inputs[idx], next, bmu, p, plans.rank, change)
+			updated += n
 		}
-		if updates > 0 {
+		if updates := updated * m.cfg.Dim; updates > 0 {
 			m.awc = append(m.awc, change/float64(updates))
 		} else {
 			m.awc = append(m.awc, 0)
@@ -419,6 +342,282 @@ func (m *Map) Train(inputs [][]float64) error {
 		}
 	}
 	return nil
+}
+
+// step pulls the units around bmu towards x as plan p says, adding the
+// magnitude of each weight change to the running AWC sum change in unit
+// and dimension order. It returns the BMU of next on the updated map,
+// the number of units updated and the new sum. rank[d2] is the index
+// into p.h of squared grid distance d2.
+//
+// Units are visited in index order. A unit is updated when it lies in
+// the box of half-width p.reach around the BMU and within the 3-radius
+// cutoff; in one row those units are the ones with |dx| <= k, since the
+// grid distance grows with |dx|. Each is updated and scored against
+// next in one loop (pullScore); every other unit is only scored
+// (scoreRange). A strict running minimum keeps the first lowest score,
+// as BMU does.
+func (m *Map) step(x, next []float64, bmu int, p *stepPlan, rank []int32, change float64) (int, int, float64) {
+	bx, by := m.Coords(bmu)
+	best, bestS := 0, math.Inf(1)
+	updated := 0
+	from := 0 // the first unit not yet visited
+	for gy := max(by-p.reach, 0); gy <= min(by+p.reach, m.cfg.Height-1); gy++ {
+		dy := gy - by
+		// No column lies more than Width-1 from the BMU's.
+		k := min(p.reach, m.cfg.Width-1)
+		for k >= 0 && k*k+dy*dy > p.cut {
+			k--
+		}
+		if k < 0 {
+			continue
+		}
+		center := m.UnitAt(bx, gy)
+		lo, hi := m.UnitAt(max(bx-k, 0), gy), m.UnitAt(min(bx+k, m.cfg.Width-1), gy)
+		best, bestS = m.scoreRange(next, from, lo, best, bestS)
+		for u := lo; u <= hi; u++ {
+			dx := u - center
+			a := p.lr * p.h[rank[dx*dx+dy*dy]]
+			var nrm, dot float64
+			nrm, dot, change = pullScore(m.Weights(u), x, next, a, change)
+			m.norm2[u] = nrm
+			if s := nrm - 2*dot; s < bestS {
+				best, bestS = u, s
+			}
+		}
+		updated += hi - lo + 1
+		from = hi + 1
+	}
+	best, _ = m.scoreRange(next, from, len(m.norm2), best, bestS)
+	return best, updated, change
+}
+
+// scoreRange scores units from..to-1 against x and returns the running
+// minimum (best, bestS) updated by them: a unit replaces it only with a
+// strictly lower score, so ties keep the lower index.
+//
+//tdlint:hotpath
+func (m *Map) scoreRange(x []float64, from, to, best int, bestS float64) (int, float64) {
+	dim := len(x)
+	off := from * dim
+	for u := from; u < to; u++ {
+		// dotProduct inlined by hand (its loops defeat the inliner and a
+		// per-unit call dominates at small dims); arithmetic is identical,
+		// so scoreRange and score agree bit for bit.
+		w := m.flat[off : off+dim : off+dim]
+		var s0, s1, s2, s3 float64
+		i := 0
+		for ; i+4 <= dim; i += 4 {
+			s0 += x[i] * w[i]
+			s1 += x[i+1] * w[i+1]
+			s2 += x[i+2] * w[i+2]
+			s3 += x[i+3] * w[i+3]
+		}
+		for ; i < dim; i++ {
+			s0 += x[i] * w[i]
+		}
+		if s := m.norm2[u] - 2*((s0+s1)+(s2+s3)); s < bestS {
+			best, bestS = u, s
+		}
+		off += dim
+	}
+	return best, bestS
+}
+
+// pullScore moves w towards x at rate a, the step's learning rate times
+// the unit's neighbourhood weight, and scores the new weights against
+// next. It adds the magnitude of every weight change to the running AWC
+// sum change, in dimension order, and returns w's new squared norm
+// (accumulated in the order updateNorm uses), next·w and the new sum.
+// The dot product is summed as scoreRange sums it: lanes d%4 below
+// len(w)&^3, lane 0 for the tail, reduced as (s0+s1)+(s2+s3).
+func pullScore(w, x, next []float64, a, change float64) (float64, float64, float64) {
+	n := len(w)
+	x, next = x[:n], next[:n]
+	var nrm, s0, s1, s2, s3 float64
+	d := 0
+	for ; d+4 <= n; d += 4 {
+		_, _, _ = w[d+3], x[d+3], next[d+3] // one bounds check for the block
+		v := w[d]
+		delta := a * (x[d] - v)
+		v += delta
+		w[d] = v
+		change += math.Abs(delta)
+		s0 += next[d] * v
+		nrm += v * v
+		v = w[d+1]
+		delta = a * (x[d+1] - v)
+		v += delta
+		w[d+1] = v
+		change += math.Abs(delta)
+		s1 += next[d+1] * v
+		nrm += v * v
+		v = w[d+2]
+		delta = a * (x[d+2] - v)
+		v += delta
+		w[d+2] = v
+		change += math.Abs(delta)
+		s2 += next[d+2] * v
+		nrm += v * v
+		v = w[d+3]
+		delta = a * (x[d+3] - v)
+		v += delta
+		w[d+3] = v
+		change += math.Abs(delta)
+		s3 += next[d+3] * v
+		nrm += v * v
+	}
+	for ; d < n; d++ {
+		v := w[d]
+		delta := a * (x[d] - v)
+		v += delta
+		w[d] = v
+		change += math.Abs(delta)
+		s0 += next[d] * v
+		nrm += v * v
+	}
+	return nrm, (s0 + s1) + (s2 + s3), change
+}
+
+// planChunkSteps steps make one schedule chunk, and the schedule keeps
+// at most planChunks chunks ahead of training. A chunk holds one
+// neighbourhood weight per step per squared distance the grid has:
+// 128 × 64 floats, 64 KB, for the 7×13 char map.
+const (
+	planChunkSteps = 128
+	planChunks     = 4
+)
+
+// stepPlan is the part of a training step that depends on the step
+// index alone.
+type stepPlan struct {
+	lr, radius float64
+	// reach is the half-width of the box around the BMU that holds every
+	// unit within 3 radii.
+	reach int
+	// cut is the largest squared grid distance within the cutoff.
+	cut int
+	// h[i] is the Gaussian neighbourhood weight at the i-th smallest
+	// squared distance the grid has, for every such distance up to cut.
+	h []float64
+}
+
+// planChunk carries the plans of consecutive steps; chunks are recycled
+// between the schedule goroutine and Train.
+type planChunk struct {
+	steps []stepPlan
+	h     []float64 // backing array of every steps[i].h
+}
+
+// schedule plans every step of a Train call on its own goroutine, ahead
+// of the training loop, so that the radius decay and the step's
+// neighbourhood exps (one per squared grid distance within the cutoff)
+// run on another core. Chunks reach Train in step order over ready and
+// go back over free once read.
+type schedule struct {
+	// rank[d2] is the index of squared grid distance d2 among the
+	// distances the grid has, ascending: where its weight sits in h.
+	rank        []int32
+	free, ready chan *planChunk
+	quit, done  chan struct{}
+	cur         *planChunk
+	i           int
+}
+
+// startSchedule starts the goroutine that plans steps 0..total-1 of a
+// Train call whose radius decays with time constant lambda.
+func (m *Map) startSchedule(total int, lambda float64) *schedule {
+	cfg := m.cfg
+	maxG2 := (cfg.Width-1)*(cfg.Width-1) + (cfg.Height-1)*(cfg.Height-1)
+	occurs := make([]bool, maxG2+1)
+	for dy := 0; dy < cfg.Height; dy++ {
+		for dx := 0; dx < cfg.Width; dx++ {
+			occurs[dx*dx+dy*dy] = true
+		}
+	}
+	rank := make([]int32, maxG2+1)
+	var dists []int // the squared grid distances units lie apart, ascending
+	for d2, ok := range occurs {
+		if ok {
+			rank[d2] = int32(len(dists))
+			dists = append(dists, d2)
+		}
+	}
+	chunkSteps := min(planChunkSteps, total)
+	// free and ready can each hold every chunk, so no send on them
+	// blocks.
+	s := &schedule{
+		rank:  rank,
+		free:  make(chan *planChunk, planChunks),
+		ready: make(chan *planChunk, planChunks),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+	}
+	go func() {
+		defer close(s.done)
+		made := 0
+		for first := 0; first < total; first += chunkSteps {
+			var c *planChunk
+			if made < planChunks {
+				c = &planChunk{steps: make([]stepPlan, chunkSteps), h: make([]float64, chunkSteps*len(dists))}
+				made++
+			} else {
+				select {
+				case c = <-s.free:
+				case <-s.quit:
+					return
+				}
+			}
+			c.steps = c.steps[:min(chunkSteps, total-first)]
+			for k := range c.steps {
+				step := first + k
+				t := float64(step) / float64(total)
+				lr := cfg.InitialLearningRate + t*(cfg.FinalLearningRate-cfg.InitialLearningRate)
+				radius := cfg.InitialRadius * math.Exp(-float64(step)/lambda)
+				if radius < 0.5 {
+					radius = 0.5
+				}
+				r2 := radius * radius
+				h := c.h[k*len(dists) : (k+1)*len(dists)]
+				n := 0
+				for _, d2 := range dists {
+					// Integer squares convert to float64 exactly, so this
+					// is the grid distance the float formula gives.
+					g2 := float64(d2)
+					if g2 > 9*r2 {
+						break
+					}
+					h[n] = math.Exp(-g2 / (2 * r2))
+					n++
+				}
+				// n >= 1: distance 0 is always within the cutoff.
+				c.steps[k] = stepPlan{lr: lr, radius: radius, reach: int(3 * radius), cut: dists[n-1], h: h[:n]}
+			}
+			s.ready <- c
+		}
+	}()
+	return s
+}
+
+// next returns the plan of the next step. The plan stays valid until the
+// following call.
+func (s *schedule) next() *stepPlan {
+	if s.cur == nil || s.i == len(s.cur.steps) {
+		if s.cur != nil {
+			s.free <- s.cur
+		}
+		s.cur, s.i = <-s.ready, 0
+	}
+	p := &s.cur.steps[s.i]
+	s.i++
+	return p
+}
+
+// stop ends the schedule goroutine, if it is still running, and returns
+// once it has exited.
+func (s *schedule) stop() {
+	close(s.quit)
+	<-s.done
 }
 
 // AWC returns a copy of the average weight change recorded for each
