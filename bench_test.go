@@ -265,7 +265,7 @@ func BenchmarkModelScoreTelemetry(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	model.AttachTelemetry(telemetry.NewRegistry(), nil)
+	model.AttachTelemetry(telemetry.NewRegistry())
 	doc := &c.Test[0]
 	cat := c.Categories[0]
 	b.ReportAllocs()

@@ -32,23 +32,10 @@ func main() {
 	scale := flag.Float64("scale", 0, "override corpus scale")
 	flag.Parse()
 
-	var p experiments.Profile
-	switch *profile {
-	case "smoke":
-		p = experiments.SmokeProfile()
-	case "quick":
-		p = experiments.QuickProfile()
-	case "full":
-		p = experiments.FullProfile()
-	default:
-		fmt.Fprintf(os.Stderr, "benchtables: unknown profile %q\n", *profile)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchtables: %v\n", err)
 		os.Exit(2)
-	}
-	if *seed != 0 {
-		p.Seed = *seed
-	}
-	if *scale > 0 {
-		p.Scale = *scale
 	}
 
 	c, err := p.Corpus()

@@ -95,28 +95,6 @@ Subcommands:
 Run 'tdc <subcommand> -h' for flags.`)
 }
 
-// profileFlag resolves -profile into an experiments.Profile.
-func profileByName(name string, seed int64, scale float64) (experiments.Profile, error) {
-	var p experiments.Profile
-	switch name {
-	case "smoke":
-		p = experiments.SmokeProfile()
-	case "quick":
-		p = experiments.QuickProfile()
-	case "full":
-		p = experiments.FullProfile()
-	default:
-		return p, fmt.Errorf("unknown profile %q (smoke, quick, full)", name)
-	}
-	if seed != 0 {
-		p.Seed = seed
-	}
-	if scale > 0 {
-		p.Scale = scale
-	}
-	return p, nil
-}
-
 func methodByName(name string) (featsel.Method, error) {
 	if m := featsel.Method(name); featsel.Known(m) {
 		return m, nil
@@ -172,11 +150,11 @@ func cmdEvaluate(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
-	stop, err := pf.apply(&p)
+	stop, err := pf.apply()
 	if err != nil {
 		return err
 	}
@@ -250,11 +228,11 @@ func cmdCompare(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
-	stop, err := pf.apply(&p)
+	stop, err := pf.apply()
 	if err != nil {
 		return err
 	}
@@ -294,11 +272,11 @@ func cmdTrace(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
-	stop, err := pf.apply(&p)
+	stop, err := pf.apply()
 	if err != nil {
 		return err
 	}
@@ -348,11 +326,11 @@ func cmdRule(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
-	stop, err := pf.apply(&p)
+	stop, err := pf.apply()
 	if err != nil {
 		return err
 	}

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"temporaldoc/internal/experiments"
 )
 
 // captureStdout redirects os.Stdout around fn.
@@ -27,7 +29,7 @@ func captureStdout(t *testing.T, fn func() error) (string, error) {
 
 func TestProfileByName(t *testing.T) {
 	for _, name := range []string{"smoke", "quick", "full"} {
-		p, err := profileByName(name, 0, 0)
+		p, err := experiments.ProfileByName(name, 0, 0)
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
@@ -35,10 +37,10 @@ func TestProfileByName(t *testing.T) {
 			t.Errorf("profile name %q", p.Name)
 		}
 	}
-	if _, err := profileByName("bogus", 0, 0); err == nil {
+	if _, err := experiments.ProfileByName("bogus", 0, 0); err == nil {
 		t.Error("bogus profile accepted")
 	}
-	p, _ := profileByName("smoke", 42, 0.5)
+	p, _ := experiments.ProfileByName("smoke", 42, 0.5)
 	if p.Seed != 42 || p.Scale != 0.5 {
 		t.Errorf("overrides not applied: %+v", p)
 	}

@@ -6,38 +6,27 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-
-	"temporaldoc/internal/experiments"
 )
 
-// perfFlags bundles the performance flags shared by the training and
-// evaluation subcommands: -workers bounds the evaluation engine's
-// parallelism (GP tournament evaluation, concurrent category word-map
-// training, document scoring), and -cpuprofile / -memprofile hook the
-// subcommand up to pprof. Training output is bit-identical for every
-// -workers value.
+// perfFlags bundles the profiling flags shared by the training and
+// evaluation subcommands: -cpuprofile / -memprofile hook the subcommand
+// up to pprof. GOMAXPROCS sets how many cores training and evaluation
+// use; their output is bit-identical for every value.
 type perfFlags struct {
-	workers    *int
 	cpuProfile *string
 	memProfile *string
 }
 
 func registerPerfFlags(fs *flag.FlagSet) *perfFlags {
 	return &perfFlags{
-		workers:    fs.Int("workers", 0, "evaluation workers (0 = all CPUs); output is identical for any value"),
 		cpuProfile: fs.String("cpuprofile", "", "write a pprof CPU profile to this file"),
 		memProfile: fs.String("memprofile", "", "write a pprof heap profile to this file on exit"),
 	}
 }
 
-// apply threads -workers into the experiment profile and starts CPU
-// profiling when requested. The returned stop function ends the CPU
-// profile and writes the heap profile; call it via defer.
-func (pf *perfFlags) apply(p *experiments.Profile) (stop func(), err error) {
-	if *pf.workers < 0 {
-		return nil, fmt.Errorf("-workers %d must be >= 0", *pf.workers)
-	}
-	p.Workers = *pf.workers
+// apply starts CPU profiling when requested. The returned stop function
+// ends the CPU profile and writes the heap profile; call it via defer.
+func (pf *perfFlags) apply() (stop func(), err error) {
 	var cpuOut *os.File
 	if *pf.cpuProfile != "" {
 		cpuOut, err = os.Create(*pf.cpuProfile)

@@ -28,11 +28,11 @@ func cmdTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
-	stop, err := pf.apply(&p)
+	stop, err := pf.apply()
 	if err != nil {
 		return err
 	}
@@ -122,8 +122,8 @@ func cmdClassify(args []string) error {
 		"method", string(model.FeatureMethod()))
 	// Loaded models start silent; retrofit the session's registry so
 	// classification latency and cache hit rates land in -metrics.
-	model.AttachTelemetry(ts.reg, nil)
-	p, err := profileByName(*profile, *seed, *scale)
+	model.AttachTelemetry(ts.reg)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}
@@ -173,7 +173,7 @@ func cmdStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"temporaldoc/internal/experiments"
 	"temporaldoc/internal/hsom"
 )
 
@@ -25,7 +26,7 @@ func cmdSizing(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := profileByName(*profile, *seed, *scale)
+	p, err := experiments.ProfileByName(*profile, *seed, *scale)
 	if err != nil {
 		return err
 	}

@@ -10,15 +10,14 @@
 //
 //	tdlint [flags] [packages]
 //
-//	-baseline file    subtract grandfathered findings (default tdlint.baseline)
-//	-write-baseline   regenerate the baseline from the current findings
 //	-checks a,b,c     run only the named checks
 //	-list             print the available checks and exit
 //	-v                print a per-analyzer timing table (facts and run
 //	                  phases split out) to stderr
 //
 // Suppress a single finding with an in-source directive on the same
-// line or the line above (the reason is mandatory):
+// line or the line above (the reason is mandatory); it is the only
+// escape hatch, reviewed in source:
 //
 //	//lint:ignore determinism seeded test-only shuffle
 //
@@ -118,8 +117,6 @@ func main() {
 }
 
 func run() int {
-	baseline := flag.String("baseline", "tdlint.baseline", "baseline file of grandfathered findings (empty to disable)")
-	writeBaseline := flag.Bool("write-baseline", false, "regenerate the baseline from current findings instead of failing")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default all)")
 	list := flag.Bool("list", false, "list available checks and exit")
 	verbose := flag.Bool("v", false, "print per-analyzer facts/run timings to stderr")
@@ -137,11 +134,7 @@ func run() int {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	opts := driver.Options{
-		BaselinePath:  *baseline,
-		WriteBaseline: *writeBaseline,
-		Exclude:       repoExcludes(),
-	}
+	opts := driver.Options{Exclude: repoExcludes()}
 	if *verbose {
 		opts.Stats = driver.NewStats()
 	}
@@ -160,10 +153,6 @@ func run() int {
 	}
 	if opts.Stats != nil {
 		fmt.Fprint(os.Stderr, opts.Stats.Table())
-	}
-	if *writeBaseline {
-		fmt.Fprintf(os.Stderr, "tdlint: baseline written to %s\n", *baseline)
-		return 0
 	}
 	for _, f := range findings {
 		fmt.Println(f.String())

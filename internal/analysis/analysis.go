@@ -6,12 +6,12 @@
 // module dependencies.
 //
 // The framework exists to turn the pipeline's hardest-won dynamic
-// properties — bit-deterministic training across worker counts,
+// properties — bit-deterministic training across GOMAXPROCS settings,
 // byte-identical models with telemetry on or off, nil-safe zero-cost
 // telemetry — into statically checked contracts. Each analyzer in
 // internal/analysis/analyzers guards one such invariant; the driver in
-// internal/analysis/driver applies them with suppression and baseline
-// handling; cmd/tdlint is the CLI front end wired into `make lint`.
+// internal/analysis/driver applies them with suppression handling;
+// cmd/tdlint is the CLI front end wired into `make lint`.
 package analysis
 
 import (
@@ -26,8 +26,8 @@ import (
 
 // Analyzer is one named static check.
 type Analyzer struct {
-	// Name identifies the check in diagnostics, //lint:ignore comments
-	// and the baseline file. Lowercase, no spaces.
+	// Name identifies the check in diagnostics and //lint:ignore
+	// comments. Lowercase, no spaces.
 	Name string
 	// Doc is a one-paragraph description of the invariant the check
 	// guards, shown by `tdlint -help`.

@@ -1,9 +1,7 @@
-// Package driver applies analyzers to loaded packages and owns the two
-// escape hatches every static-analysis deployment needs: in-source
-// suppressions (//lint:ignore with a mandatory reason) and a checked-in
-// baseline file for grandfathered findings. Both are deliberate,
-// reviewable artifacts — the lint gate itself never silently drops a
-// finding.
+// Package driver applies analyzers to loaded packages and owns the one
+// escape hatch: in-source suppressions (//lint:ignore with a mandatory
+// reason), reviewed in source beside the code they excuse. The lint
+// gate itself never silently drops a finding.
 //
 // For interprocedural analyzers (those with a Facts phase) the driver
 // is also the dataflow conductor: it builds the whole-program call
@@ -29,11 +27,6 @@ import (
 
 // Options configures one lint run.
 type Options struct {
-	// BaselinePath names the baseline file; empty disables baselining.
-	BaselinePath string
-	// WriteBaseline regenerates the baseline from the current findings
-	// instead of failing on them.
-	WriteBaseline bool
 	// Exclude maps an analyzer name to module-relative path substrings
 	// where the check does not apply (policy decisions, e.g. the time
 	// rule is off inside the telemetry package that implements timers).
@@ -104,8 +97,7 @@ func (s *Stats) addRun(name string, d time.Duration) {
 type Finding struct {
 	analysis.Diagnostic
 	Position token.Position
-	// RelPath is the module-relative source path used in output and in
-	// the baseline file.
+	// RelPath is the module-relative source path used in output.
 	RelPath string
 }
 
@@ -117,11 +109,9 @@ func (f Finding) String() string {
 }
 
 // Run applies the selected analyzers to every loaded package and
-// returns the findings that survive suppressions, path excludes and the
-// baseline, sorted by position. Suppression directives are validated
-// against the whole suite in analyzers, not only the opts.Checks
-// subset. When opts.WriteBaseline is set the surviving findings are
-// written to the baseline file instead and an empty slice is returned.
+// returns the findings that survive suppressions and path excludes,
+// sorted by position. Suppression directives are validated against the
+// whole suite in analyzers, not only the opts.Checks subset.
 func Run(res *load.Result, analyzers []*analysis.Analyzer, opts Options) ([]Finding, error) {
 	selected, err := selectAnalyzers(analyzers, opts.Checks)
 	if err != nil {
@@ -182,18 +172,7 @@ func Run(res *load.Result, analyzers []*analysis.Analyzer, opts Options) ([]Find
 		}
 		return a.Message < b.Message
 	})
-
-	if opts.BaselinePath == "" {
-		return findings, nil
-	}
-	if opts.WriteBaseline {
-		return nil, writeBaseline(opts.BaselinePath, findings)
-	}
-	base, err := readBaseline(opts.BaselinePath)
-	if err != nil {
-		return nil, err
-	}
-	return base.apply(findings), nil
+	return findings, nil
 }
 
 // analyzePackage runs every selected analyzer over one package: facts

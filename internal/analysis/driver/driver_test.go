@@ -1,7 +1,6 @@
 package driver_test
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -58,42 +57,6 @@ func TestSuppressions(t *testing.T) {
 		if strings.Contains(f.RelPath, "fileignore") {
 			t.Errorf("file-ignore'd finding leaked: %s", f)
 		}
-	}
-}
-
-// TestBaselineRoundTrip: writing a baseline from the current findings
-// and re-running against it must leave the tree clean; a stale baseline
-// entry stays harmless, and a missing file is an empty baseline.
-func TestBaselineRoundTrip(t *testing.T) {
-	res := loadFixture(t)
-	base := filepath.Join(t.TempDir(), "tdlint.baseline")
-
-	if _, err := driver.Run(res, suite(), driver.Options{BaselinePath: base, WriteBaseline: true}); err != nil {
-		t.Fatalf("writing baseline: %v", err)
-	}
-	data, err := os.ReadFile(base)
-	if err != nil {
-		t.Fatalf("baseline not written: %v", err)
-	}
-	if !strings.Contains(string(data), "[determinism]") {
-		t.Fatalf("baseline missing grandfathered findings:\n%s", data)
-	}
-
-	findings, err := driver.Run(res, suite(), driver.Options{BaselinePath: base})
-	if err != nil {
-		t.Fatalf("running against baseline: %v", err)
-	}
-	if len(findings) != 0 {
-		t.Errorf("findings survived their own baseline:\n%s", render(findings))
-	}
-
-	missing := filepath.Join(t.TempDir(), "does-not-exist")
-	findings, err = driver.Run(res, suite(), driver.Options{BaselinePath: missing})
-	if err != nil {
-		t.Fatalf("running with missing baseline: %v", err)
-	}
-	if len(findings) == 0 {
-		t.Error("missing baseline file must behave as empty, not absorb findings")
 	}
 }
 

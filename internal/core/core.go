@@ -9,6 +9,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -39,19 +40,6 @@ type Config struct {
 	// Restarts is the number of independent GP initialisations per
 	// category; the best rule wins (paper: 20). Zero means 1.
 	Restarts int
-	// Parallelism bounds concurrent category training. Zero means the
-	// number of categories.
-	Parallelism int
-	// Workers is the evaluation-engine worker count threaded through the
-	// pipeline: GP tournament evaluation (GP.Workers), how many category
-	// word maps train at once (Encoder.Workers) and document evaluation
-	// parallelism all default to it when they are unset. Zero leaves
-	// each stage's own default (GOMAXPROCS). Results are bit-identical
-	// for any value. It does not count the goroutine each SOM training
-	// call runs beside its loop to compute the step schedule ahead (see
-	// som.Map.Train), so the encoder's training phase can keep up to
-	// twice Workers goroutines busy.
-	Workers int
 	// DropMembershipInput zeroes the Gaussian-membership dimension of
 	// every word code, leaving only the BMU index — the representation
 	// ablation benchmarked in DESIGN.md.
@@ -100,17 +88,6 @@ func (c *Config) setDefaults() {
 	}
 	if c.Encoder.Seed == 0 {
 		c.Encoder.Seed = c.Seed + 1
-	}
-	if c.Workers > 0 {
-		if c.GP.Workers == 0 {
-			c.GP.Workers = c.Workers
-		}
-		if c.Encoder.Workers == 0 {
-			c.Encoder.Workers = c.Workers
-		}
-		if c.Parallelism == 0 {
-			c.Parallelism = c.Workers
-		}
 	}
 }
 
@@ -329,11 +306,8 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 		met:       newModelMetrics(cfg.Metrics),
 	}
 
-	parallelism := cfg.Parallelism
-	if parallelism <= 0 {
-		parallelism = len(c.Categories)
-	}
-	sem := make(chan struct{}, parallelism)
+	// The per-category classifiers are independent (section 8), so every
+	// category trains at once; GOMAXPROCS bounds how many run in parallel.
 	catTimer := cfg.Metrics.Timer("core.category.train.seconds")
 	catCount := cfg.Metrics.Counter("core.categories.trained")
 	observing := cfg.Observer != nil || cfg.Progress != nil
@@ -344,8 +318,6 @@ func Train(cfg Config, c *corpus.Corpus) (*Model, error) {
 		wg.Add(1)
 		go func(cat string) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
 			catSpan := catTimer.Start()
 			var catStart time.Time
 			if observing {
@@ -416,15 +388,21 @@ func (m *Model) encode(cat string, doc *corpus.Document) ([][]float64, []string,
 		if !code.Member {
 			continue
 		}
-		membership := code.Membership
-		if m.cfg.DropMembershipInput {
-			membership = 0
-		}
-		inputs = append(inputs, []float64{code.NormIndex, membership})
+		inputs = append(inputs, m.input(code))
 		words = append(words, code.Word)
 		positions = append(positions, origIdx[k])
 	}
 	return inputs, words, positions, nil
+}
+
+// input is a member word's RLGP input: its normalised BMU index and its
+// Gaussian membership, or 0 in place of the membership under
+// DropMembershipInput.
+func (m *Model) input(code hsom.WordCode) []float64 {
+	if m.cfg.DropMembershipInput {
+		return []float64{code.NormIndex, 0}
+	}
+	return []float64{code.NormIndex, code.Membership}
 }
 
 // encodeCached is encode behind the per-(category, document) cache used
@@ -480,11 +458,7 @@ func (m *Model) trainCategory(cat string, train []corpus.Document) (*CategoryMod
 		if !code.Member {
 			continue
 		}
-		membership := code.Membership
-		if m.cfg.DropMembershipInput {
-			membership = 0
-		}
-		inputOf[code.Word] = []float64{code.NormIndex, membership}
+		inputOf[code.Word] = m.input(code)
 	}
 	examples := make([]lgp.Example, 0, len(train))
 	for i := range train {
@@ -806,20 +780,11 @@ func (m *Model) TraceAll(doc *corpus.Document) (map[string][]TracePoint, error) 
 }
 
 // Evaluate scores the model over documents, producing per-category
-// contingency tables (Tables 4–6 inputs). Documents are classified
-// concurrently (classification is read-only on the model); aggregation
-// is deterministic.
+// contingency tables (Tables 4–6 inputs). Documents are classified on
+// GOMAXPROCS goroutines (classification is read-only on the model);
+// aggregation is deterministic.
 func (m *Model) Evaluate(docs []corpus.Document) (*metrics.Set, error) {
-	workers := m.cfg.Parallelism
-	if workers <= 0 {
-		workers = 4
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(docs))
 	type result struct {
 		predicted map[string]bool
 		err       error

@@ -123,13 +123,3 @@ func TestTrainWithRestartsPicksBest(t *testing.T) {
 		}
 	}
 }
-
-func TestTrainBoundedParallelism(t *testing.T) {
-	c := smallCorpus(t)
-	cfg := fastConfig(featsel.DF)
-	cfg.GP.Tournaments = 30
-	cfg.Parallelism = 2
-	if _, err := Train(cfg, c); err != nil {
-		t.Fatalf("Train(parallelism=2): %v", err)
-	}
-}

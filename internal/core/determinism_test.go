@@ -5,33 +5,41 @@ import (
 	"runtime"
 	"testing"
 
+	"temporaldoc/internal/corpus"
 	"temporaldoc/internal/featsel"
 )
 
-// TestTrainDeterministicAcrossWorkers trains the same corpus with the
-// serial engine and with several parallel worker counts and requires the
-// persisted models to be byte-identical: the parallel evaluation engine
-// must not change a single bit of any trained program, threshold or SOM
-// weight.
+// persistedAt trains the small corpus under the given GOMAXPROCS and
+// returns the saved model. GOMAXPROCS sets how many word maps train at
+// once, how many machines each GP tournament fans out over and how many
+// categories run in parallel.
+func persistedAt(t *testing.T, c *corpus.Corpus, procs int) []byte {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+	cfg := fastConfig(featsel.DF)
+	cfg.GP.Tournaments = 40
+	m, err := Train(cfg, c)
+	if err != nil {
+		t.Fatalf("Train(GOMAXPROCS=%d): %v", procs, err)
+	}
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
+		t.Fatalf("Save(GOMAXPROCS=%d): %v", procs, err)
+	}
+	return buf.Bytes()
+}
+
+// TestTrainDeterministicAcrossWorkers trains the same corpus with one
+// worker (GOMAXPROCS 1: the serial GP and word-map paths) and with 4
+// and the host's full parallelism, and requires the persisted models to
+// be byte-identical: the parallel evaluation engine must not change a
+// single bit of any trained program, threshold or SOM weight.
 func TestTrainDeterministicAcrossWorkers(t *testing.T) {
 	c := smallCorpus(t)
-	persisted := func(workers int) []byte {
-		cfg := fastConfig(featsel.DF)
-		cfg.GP.Tournaments = 40
-		cfg.Workers = workers
-		m, err := Train(cfg, c)
-		if err != nil {
-			t.Fatalf("Train(workers=%d): %v", workers, err)
-		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatalf("Save(workers=%d): %v", workers, err)
-		}
-		return buf.Bytes()
-	}
-	want := persisted(1)
-	for _, workers := range []int{4, 0} {
-		if got := persisted(workers); !bytes.Equal(got, want) {
+	want := persistedAt(t, c, 1)
+	for _, workers := range []int{4, runtime.GOMAXPROCS(0)} {
+		if got := persistedAt(t, c, workers); !bytes.Equal(got, want) {
 			t.Errorf("workers=%d: persisted model differs from the serial run", workers)
 		}
 	}
@@ -49,31 +57,14 @@ func TestTrainDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Skip("retrains the pipeline several times")
 	}
 	c := smallCorpus(t)
-	persisted := func() []byte {
-		cfg := fastConfig(featsel.DF)
-		cfg.GP.Tournaments = 40
-		cfg.Workers = 0 // all available parallelism at each setting
-		m, err := Train(cfg, c)
-		if err != nil {
-			t.Fatalf("Train: %v", err)
-		}
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatalf("Save: %v", err)
-		}
-		return buf.Bytes()
-	}
-	prev := runtime.GOMAXPROCS(0)
-	defer runtime.GOMAXPROCS(prev)
 	settings := []int{1, 2}
-	if prev > 2 {
+	if prev := runtime.GOMAXPROCS(0); prev > 2 {
 		settings = append(settings, prev)
 	}
 	var want []byte
 	for _, procs := range settings {
-		runtime.GOMAXPROCS(procs)
 		for run := 0; run < 2; run++ {
-			got := persisted()
+			got := persistedAt(t, c, procs)
 			if want == nil {
 				want = got
 				continue

@@ -181,14 +181,11 @@ func newModelMetrics(reg *telemetry.Registry) modelMetrics {
 }
 
 // AttachTelemetry points the model's (and its encoder's) runtime metric
-// handles at reg and installs obs as the training observer for any
-// later use of the config; either may be nil to detach. Models
-// reconstructed by Load start without telemetry; classification
-// services attach a registry here. Not safe to call concurrently with
-// scoring.
-func (m *Model) AttachTelemetry(reg *telemetry.Registry, obs Observer) {
+// handles at reg; nil detaches. Models reconstructed by Load start
+// without telemetry; classification services attach a registry here.
+// Not safe to call concurrently with scoring.
+func (m *Model) AttachTelemetry(reg *telemetry.Registry) {
 	m.cfg.Metrics = reg
-	m.cfg.Observer = obs
 	m.met = newModelMetrics(reg)
 	if m.encoder != nil {
 		m.encoder.AttachTelemetry(reg)

@@ -75,15 +75,11 @@ func (s *Stream) Push(word string) (map[string]StreamState, error) {
 		if !code.Member {
 			continue
 		}
-		membership := code.Membership
-		if s.model.cfg.DropMembershipInput {
-			membership = 0
-		}
 		machine := s.machines[cat]
 		if !s.model.cfg.GP.Recurrent {
 			machine.Reset()
 		}
-		machine.Step(s.model.perCat[cat].Program, []float64{code.NormIndex, membership})
+		machine.Step(s.model.perCat[cat].Program, s.model.input(code))
 		st := s.states[cat]
 		st.Output = lgp.Squash(machine.Output())
 		st.InClass = st.Output > s.model.perCat[cat].Threshold

@@ -108,7 +108,7 @@ func TestAttachTelemetryAfterLoad(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	reg := telemetry.NewRegistry()
-	loaded.AttachTelemetry(reg, nil)
+	loaded.AttachTelemetry(reg)
 
 	doc := c.Test[0]
 	if _, err := loaded.Classify(&doc); err != nil {

@@ -43,11 +43,6 @@ type Profile struct {
 	Encoder       hsom.Config
 	GP            lgp.Config
 	Restarts      int
-	// Workers is the evaluation-engine worker count threaded into
-	// core.Config.Workers (tournament evaluation, concurrent category
-	// word-map training, document scoring). Zero keeps each stage's own
-	// default; results are bit-identical for any value.
-	Workers int
 	// Metrics, when non-nil, is threaded into core.Config.Metrics so
 	// experiment runs record pipeline telemetry. Diagnostics-only.
 	Metrics *telemetry.Registry
@@ -113,6 +108,29 @@ func FullProfile() Profile {
 	}
 }
 
+// ProfileByName returns the smoke, quick or full profile. A nonzero seed
+// and a positive scale override the profile's own.
+func ProfileByName(name string, seed int64, scale float64) (Profile, error) {
+	var p Profile
+	switch name {
+	case "smoke":
+		p = SmokeProfile()
+	case "quick":
+		p = QuickProfile()
+	case "full":
+		p = FullProfile()
+	default:
+		return p, fmt.Errorf("unknown profile %q (smoke, quick, full)", name)
+	}
+	if seed != 0 {
+		p.Seed = seed
+	}
+	if scale > 0 {
+		p.Scale = scale
+	}
+	return p, nil
+}
+
 // Corpus generates the profile's synthetic corpus.
 func (p Profile) Corpus() (*corpus.Corpus, error) {
 	cfg := reuters.DefaultGenConfig()
@@ -133,7 +151,6 @@ func (p Profile) coreConfig(method featsel.Method) core.Config {
 		Encoder:       p.Encoder,
 		GP:            p.GP,
 		Restarts:      p.Restarts,
-		Workers:       p.Workers,
 		Metrics:       p.Metrics,
 		Observer:      p.Observer,
 		Seed:          p.Seed,
@@ -322,51 +339,36 @@ func RunTable4(p Profile, c *corpus.Corpus) (*F1Table, error) {
 	return table, nil
 }
 
-// evaluateBaseline trains one baseline per category under a selection
-// and evaluates it on the test split.
-func evaluateBaseline(name string, sel *featsel.Selection, c *corpus.Corpus, seed int64) (*metrics.Set, error) {
-	set := metrics.NewSet()
-	for _, cat := range c.Categories {
-		keep := sel.KeepFor(cat)
-		features := make([]string, 0, len(keep))
-		for f := range keep {
-			features = append(features, f)
-		}
-		sort.Strings(features) // deterministic classifier construction
-		var clf baselines.Classifier
-		switch name {
-		case "NB":
-			clf = baselines.NewNaiveBayes(features)
-		case "Rocchio":
-			clf = baselines.NewRocchio(features, 0, 0)
-		case "L-SVM":
-			clf = baselines.NewLinearSVM(features, baselines.SVMConfig{Seed: seed})
-		case "DT":
-			clf = baselines.NewDecisionTree(features, baselines.TreeConfig{})
-		case "T-GP":
-			clf = baselines.NewTreeGP(baselines.TreeGPConfig{Seed: seed})
-		case "kNN":
-			clf = baselines.NewKNN(features, baselines.KNNConfig{})
-		case "SeqK":
-			clf = baselines.NewSeqKernel(baselines.SeqKernelConfig{Seed: seed})
-		case "Elman":
-			clf = baselines.NewElman(baselines.ElmanConfig{Seed: seed})
-		default:
-			return nil, fmt.Errorf("unknown baseline %q", name)
-		}
-		train := make([]corpus.Document, len(c.Train))
-		for i := range c.Train {
-			train[i] = corpus.FilterWords(c.Train[i], keep)
-		}
-		if err := clf.Train(train, cat); err != nil {
-			return nil, fmt.Errorf("baseline %s on %s: %w", name, cat, err)
-		}
-		for i := range c.Test {
-			filtered := corpus.FilterWords(c.Test[i], keep)
-			set.Observe(cat, c.Test[i].HasCategory(cat), clf.Predict(filtered.Words))
-		}
+// baselineNames maps the comparison tables' labels to the baselines
+// package's names.
+var baselineNames = map[string]string{
+	"NB":      "naive-bayes",
+	"Rocchio": "rocchio",
+	"L-SVM":   "linear-svm",
+	"DT":      "decision-tree",
+	"T-GP":    "tree-gp",
+	"kNN":     "knn",
+	"SeqK":    "seq-kernel",
+	"Elman":   "elman-rnn",
+}
+
+// baselineName resolves a table label to its baselines name.
+func baselineName(label string) (string, error) {
+	name, ok := baselineNames[label]
+	if !ok {
+		return "", fmt.Errorf("unknown baseline %q", label)
 	}
-	return set, nil
+	return name, nil
+}
+
+// evaluateBaseline trains the baseline behind a table label once per
+// category under a selection and evaluates it on the test split.
+func evaluateBaseline(label string, sel *featsel.Selection, c *corpus.Corpus, seed int64) (*metrics.Set, error) {
+	name, err := baselineName(label)
+	if err != nil {
+		return nil, err
+	}
+	return baselines.Evaluate(name, sel, c, seed)
 }
 
 // RunTable5 reproduces Table 5: ProSys vs T-GP, L-SVM, DT and NB under

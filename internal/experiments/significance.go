@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"temporaldoc/internal/baselines"
@@ -64,6 +63,10 @@ func evalProSys(model *core.Model, c *corpus.Corpus) (*SystemEval, error) {
 // evalBaselineSystem trains one baseline per category under the
 // selection and wraps it as a SystemEval.
 func evalBaselineSystem(name string, sel *featsel.Selection, c *corpus.Corpus, seed int64) (*SystemEval, error) {
+	baseline, err := baselineName(name)
+	if err != nil {
+		return nil, err
+	}
 	clfs := make(map[string]baselines.Classifier, len(c.Categories))
 	keeps := make(map[string]map[string]bool, len(c.Categories))
 	for _, cat := range c.Categories {
@@ -73,21 +76,9 @@ func evalBaselineSystem(name string, sel *featsel.Selection, c *corpus.Corpus, s
 		for f := range keep {
 			features = append(features, f)
 		}
-		sort.Strings(features)
-		var clf baselines.Classifier
-		switch name {
-		case "NB":
-			clf = baselines.NewNaiveBayes(features)
-		case "DT":
-			clf = baselines.NewDecisionTree(features, baselines.TreeConfig{})
-		case "L-SVM":
-			clf = baselines.NewLinearSVM(features, baselines.SVMConfig{Seed: seed})
-		case "Rocchio":
-			clf = baselines.NewRocchio(features, 0, 0)
-		case "kNN":
-			clf = baselines.NewKNN(features, baselines.KNNConfig{})
-		default:
-			return nil, fmt.Errorf("experiments: unsupported significance baseline %q", name)
+		clf, err := baselines.New(baseline, features, seed)
+		if err != nil {
+			return nil, err
 		}
 		train := make([]corpus.Document, len(c.Train))
 		for i := range c.Train {

@@ -3,6 +3,7 @@ package hsom
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"temporaldoc/internal/corpus"
@@ -86,16 +87,15 @@ func BenchmarkEncodeDocument(b *testing.B) {
 }
 
 // BenchmarkTrain measures a paper-geometry Train with the category
-// word maps fitted one at a time and on every core.
+// word maps fitted one at a time (GOMAXPROCS 1) and on every core.
 func BenchmarkTrain(b *testing.B) {
 	_, docs := benchCorpus()
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			cfg := DefaultConfig()
-			cfg.Workers = workers
+	for _, procs := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Train(cfg, docs); err != nil {
+				if _, err := Train(DefaultConfig(), docs); err != nil {
 					b.Fatal(err)
 				}
 			}

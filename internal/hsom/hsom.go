@@ -45,14 +45,6 @@ type Config struct {
 	// BMUFanout is how many first-level BMUs represent each character
 	// (paper: 3, with contributions 1, 1/2, 1/3).
 	BMUFanout int
-	// Workers bounds how many category word maps Train fits at once.
-	// Each fit is one training loop plus the goroutine som.Map.Train
-	// runs beside it to compute the step schedule ahead, which Workers
-	// does not count, so even Workers 1 can keep two cores busy. Zero
-	// means runtime.GOMAXPROCS(0); results are identical for any worker
-	// count. It is a runtime knob, not a model parameter, so it is
-	// excluded from persisted snapshots.
-	Workers int `json:"-"`
 	// Metrics, when non-nil, receives encoder telemetry: per-level SOM
 	// epoch gauges and word-vector cache hit/miss counters. Diagnostics
 	// only — never persisted, never read back, so trained encoders are
@@ -342,13 +334,10 @@ func Train(cfg Config, perCategory map[string][]corpus.Document) (*Encoder, erro
 	// Level 2: one word code-book per category. Each map has its own seed
 	// (by sorted position) and its own inputs, and shares only the frozen
 	// char map and the concurrency-safe word-vector cache, so the maps
-	// train concurrently, at most Workers at once, with the same bytes
-	// for any worker count.
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sem := make(chan struct{}, workers)
+	// train concurrently, at most GOMAXPROCS at once, with the same bytes
+	// for any GOMAXPROCS. Each fit also runs the goroutine som.Map.Train
+	// starts to compute its step schedule ahead.
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	ces := make([]*CategoryEncoder, len(cats))
 	errs := make([]error, len(cats))
 	var wg sync.WaitGroup

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -97,10 +98,8 @@ func TestTrainRejectsEmpty(t *testing.T) {
 	mixed := trainDocs()
 	mixed["acq"] = []corpus.Document{{ID: "a", Categories: []string{"acq"}}}
 	mixed["zinc"] = []corpus.Document{{ID: "z", Categories: []string{"zinc"}}}
-	cfg := tinyCfg()
-	cfg.Workers = 0
 	for i := 0; i < 20; i++ {
-		_, err := Train(cfg, mixed)
+		_, err := Train(tinyCfg(), mixed)
 		if err == nil || !strings.Contains(err.Error(), "acq") {
 			t.Fatalf("run %d: err = %v, want the error of category acq", i, err)
 		}
@@ -331,13 +330,14 @@ func TestRenderHitGrid(t *testing.T) {
 }
 
 // TestTrainDeterministic requires byte-identical snapshots whether the
-// category maps train one at a time, several at once or on every core.
+// category maps train one at a time (GOMAXPROCS 1), several at once or
+// on every core.
 func TestTrainDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want []byte
-	for _, workers := range []int{1, 3, 0} {
-		cfg := tinyCfg()
-		cfg.Workers = workers
-		enc, err := Train(cfg, trainDocs())
+	for _, procs := range []int{1, 3, runtime.GOMAXPROCS(0)} {
+		runtime.GOMAXPROCS(procs)
+		enc, err := Train(tinyCfg(), trainDocs())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -348,7 +348,7 @@ func TestTrainDeterministic(t *testing.T) {
 		if want == nil {
 			want = got
 		} else if !bytes.Equal(got, want) {
-			t.Errorf("Workers=%d: snapshot differs from Workers=1", workers)
+			t.Errorf("GOMAXPROCS=%d: snapshot differs from GOMAXPROCS=1", procs)
 		}
 	}
 }

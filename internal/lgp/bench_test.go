@@ -3,6 +3,7 @@ package lgp
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -25,14 +26,13 @@ func benchExamples(n, w int, seed int64) []Example {
 	return out
 }
 
-func benchTrainer(b *testing.B, workers int) *Trainer {
+func benchTrainer(b *testing.B) *Trainer {
 	b.Helper()
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 32
 	cfg.Tournaments = 10
 	cfg.DSS = nil
 	cfg.Seed = 7
-	cfg.Workers = workers
 	tr, err := NewTrainer(cfg, benchExamples(40, 30, 3))
 	if err != nil {
 		b.Fatal(err)
@@ -40,10 +40,13 @@ func benchTrainer(b *testing.B, workers int) *Trainer {
 	return tr
 }
 
+// BenchmarkTournament times one tournament with its evaluations on one
+// machine per GOMAXPROCS.
 func BenchmarkTournament(b *testing.B) {
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tr := benchTrainer(b, workers)
+	for _, procs := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			tr := benchTrainer(b)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -57,14 +60,15 @@ func BenchmarkTournament(b *testing.B) {
 // shape: population 30, DSS subsets of 40 redrawn every 50 tournaments,
 // four subsets in all. Unlike BenchmarkTournament it covers the DSS
 // path, where contestants and the difficulty update reuse the outputs
-// an unchanged program scored on the unchanged subset.
+// an unchanged program scored on the unchanged subset. It runs serially
+// (GOMAXPROCS 1).
 func BenchmarkTrainerRun(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	cfg := DefaultConfig()
 	cfg.PopulationSize = 30
 	cfg.Tournaments = 200
 	cfg.DSS = &DSSConfig{SubsetSize: 40, Interval: 50}
 	cfg.Seed = 7
-	cfg.Workers = 1
 	examples := benchExamples(100, 8, 3)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -90,12 +94,12 @@ func BenchmarkTournamentTrace(b *testing.B) {
 			name = "trace=on"
 		}
 		b.Run(name, func(b *testing.B) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			cfg := DefaultConfig()
 			cfg.PopulationSize = 32
 			cfg.Tournaments = 10
 			cfg.DSS = nil
 			cfg.Seed = 7
-			cfg.Workers = 1
 			if traced {
 				cfg.Trace = func(s TournamentStats) { benchTraceSink = s }
 			}

@@ -48,15 +48,6 @@ type Config struct {
 	Fitness FitnessKind
 	// DSS enables Dynamic Subset Selection when non-nil.
 	DSS *DSSConfig
-	// Workers bounds concurrent fitness evaluations inside each
-	// tournament (of the contestants whose fitness on the active subset
-	// is not already known) and in final model selection. Zero means
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. All RNG draws
-	// happen before evaluations fan out and evaluation is pure, so
-	// results are bit-identical for every worker count. It is a
-	// runtime knob, not a model parameter, so it is excluded from
-	// persisted models.
-	Workers int `json:"-"`
 	// Trace, when non-nil, is called after every tournament with that
 	// tournament's statistics — the evolution-trace hook. It is
 	// diagnostics-only: the trainer never reads anything back, no RNG is
@@ -191,9 +182,6 @@ func (c *Config) validate() error {
 			return fmt.Errorf("lgp: DSS interval %d < 1", c.DSS.Interval)
 		}
 	}
-	if c.Workers < 0 {
-		return fmt.Errorf("lgp: workers %d < 0", c.Workers)
-	}
 	return nil
 }
 
@@ -283,10 +271,9 @@ func NewTrainer(cfg Config, examples []Example) (*Trainer, error) {
 			}
 		}
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	// One evaluation machine per GOMAXPROCS; GOMAXPROCS 1 takes fanOut's
+	// serial path, and the results are the same bits either way.
+	workers := runtime.GOMAXPROCS(0)
 	t := &Trainer{
 		cfg:      cfg,
 		examples: examples,

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"temporaldoc/internal/exppath"
@@ -39,7 +40,8 @@ func resultDigest(res *Result) string {
 // table covers DSS with several reselections, DSS off, tournaments of
 // four and of two (where the second child overwrites the winner before
 // the difficulty update), the F1 objective, stratified subsets and the
-// non-recurrent ablation. Each case runs serially and on three workers.
+// non-recurrent ablation. Each case runs serially (GOMAXPROCS 1) and on
+// three workers (GOMAXPROCS 3).
 //
 // The digests are platform arithmetic. math.Exp rounds some values
 // differently with and without FMA, so amd64 has one set per exp path
@@ -79,7 +81,9 @@ func TestRunRecordedBits(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, workers := range []int{1, 3} {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+			for _, procs := range []int{1, 3} {
+				runtime.GOMAXPROCS(procs)
 				cfg := DefaultConfig()
 				cfg.PopulationSize = 20
 				cfg.Tournaments = 150
@@ -87,7 +91,6 @@ func TestRunRecordedBits(t *testing.T) {
 				cfg.DSS = &DSSConfig{SubsetSize: 14, Interval: 25}
 				cfg.Seed = 17
 				tc.edit(&cfg)
-				cfg.Workers = workers
 				tr, err := NewTrainer(cfg, examples)
 				if err != nil {
 					t.Fatal(err)
@@ -97,7 +100,7 @@ func TestRunRecordedBits(t *testing.T) {
 					want = d
 				}
 				if got := resultDigest(tr.Run()); got != want {
-					t.Errorf("workers=%d: digest %s, recorded %s (%s exp)", workers, got, want, path)
+					t.Errorf("GOMAXPROCS=%d: digest %s, recorded %s (%s exp)", procs, got, want, path)
 				}
 			}
 		})

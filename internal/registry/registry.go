@@ -601,7 +601,7 @@ func (r *Registry) open(model, version, path string) (*Snapshot, error) {
 		return nil, fmt.Errorf("registry: %s/%s feature method %q does not satisfy the required %q",
 			model, version, m.FeatureMethod(), r.cfg.Method)
 	}
-	m.AttachTelemetry(r.cfg.Metrics, nil)
+	m.AttachTelemetry(r.cfg.Metrics)
 	//lint:ignore determinism resident-since metadata: reported on /v1/models, never reaches model state
 	now := time.Now()
 	return &Snapshot{Model: m, Info: info, Name: model, Version: version, LoadedAt: now}, nil

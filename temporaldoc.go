@@ -241,29 +241,11 @@ const (
 type BaselineClassifier = baselines.Classifier
 
 // NewBaseline constructs a comparison classifier by name over the given
-// feature vocabulary (tree-gp builds its own n-gram features and ignores
-// the vocabulary).
+// feature vocabulary (tree-gp, seq-kernel and elman-rnn build their own
+// features and ignore the vocabulary). The vocabulary's order does not
+// matter.
 func NewBaseline(name string, features []string, seed int64) (BaselineClassifier, error) {
-	switch name {
-	case BaselineNaiveBayes:
-		return baselines.NewNaiveBayes(features), nil
-	case BaselineRocchio:
-		return baselines.NewRocchio(features, 0, 0), nil
-	case BaselineLinearSVM:
-		return baselines.NewLinearSVM(features, baselines.SVMConfig{Seed: seed}), nil
-	case BaselineDecisionTree:
-		return baselines.NewDecisionTree(features, baselines.TreeConfig{}), nil
-	case BaselineTreeGP:
-		return baselines.NewTreeGP(baselines.TreeGPConfig{Seed: seed}), nil
-	case BaselineKNN:
-		return baselines.NewKNN(features, baselines.KNNConfig{}), nil
-	case BaselineSeqKernel:
-		return baselines.NewSeqKernel(baselines.SeqKernelConfig{Seed: seed}), nil
-	case BaselineElman:
-		return baselines.NewElman(baselines.ElmanConfig{Seed: seed}), nil
-	default:
-		return nil, fmt.Errorf("temporaldoc: unknown baseline %q", name)
-	}
+	return baselines.New(name, features, seed)
 }
 
 // EvaluateBaseline trains one baseline per category on the corpus
@@ -274,7 +256,7 @@ func EvaluateBaseline(name string, method FeatureMethod, c *Corpus, seed int64) 
 	if err != nil {
 		return nil, err
 	}
-	return evaluateBaselineWithSelection(name, sel, c, seed)
+	return baselines.Evaluate(name, sel, c, seed)
 }
 
 // EvaluateBaselineWithBudget is EvaluateBaseline with an explicit
@@ -284,34 +266,7 @@ func EvaluateBaselineWithBudget(name string, method FeatureMethod, budget featse
 	if err != nil {
 		return nil, err
 	}
-	return evaluateBaselineWithSelection(name, sel, c, seed)
-}
-
-func evaluateBaselineWithSelection(name string, sel *featsel.Selection, c *Corpus, seed int64) (*EvalSet, error) {
-	set := metrics.NewSet()
-	for _, cat := range c.Categories {
-		keep := sel.KeepFor(cat)
-		features := make([]string, 0, len(keep))
-		for f := range keep {
-			features = append(features, f)
-		}
-		clf, err := NewBaseline(name, features, seed)
-		if err != nil {
-			return nil, err
-		}
-		train := make([]corpus.Document, len(c.Train))
-		for i := range c.Train {
-			train[i] = corpus.FilterWords(c.Train[i], keep)
-		}
-		if err := clf.Train(train, cat); err != nil {
-			return nil, fmt.Errorf("temporaldoc: baseline %s on %s: %w", name, cat, err)
-		}
-		for i := range c.Test {
-			filtered := corpus.FilterWords(c.Test[i], keep)
-			set.Observe(cat, c.Test[i].HasCategory(cat), clf.Predict(filtered.Words))
-		}
-	}
-	return set, nil
+	return baselines.Evaluate(name, sel, c, seed)
 }
 
 // FeatureBudget exposes featsel.Config for budget overrides.

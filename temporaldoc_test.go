@@ -177,6 +177,34 @@ func TestEvaluateBaselineEndToEnd(t *testing.T) {
 	}
 }
 
+// TestEvaluateBaselineRepeatable repeats one decision-tree evaluation
+// and requires identical contingency tables. The tree's splits depend
+// on the order of its features, so that order must not come from
+// iterating over the feature-selection map.
+func TestEvaluateBaselineRepeatable(t *testing.T) {
+	c, err := GenerateReutersLike(GenConfig{Scale: 0.02, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	budget := FeatureBudget{GlobalN: 150, PerCategoryN: 40}
+	var first *EvalSet
+	for run := 0; run < 6; run++ {
+		set, err := EvaluateBaselineWithBudget(BaselineDecisionTree, MI, budget, c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = set
+			continue
+		}
+		for _, cat := range c.Categories {
+			if got, want := set.Table(cat), first.Table(cat); got != want {
+				t.Errorf("run %d, %s: contingency %+v, first run %+v", run, cat, got, want)
+			}
+		}
+	}
+}
+
 func TestEvaluateBaselineDefaultBudget(t *testing.T) {
 	c := apiCorpus(t)
 	if _, err := EvaluateBaseline(BaselineRocchio, DF, c, 1); err != nil {
