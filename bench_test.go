@@ -15,9 +15,10 @@ package temporaldoc
 //
 // Benchmarks run the smoke profile so `go test -bench=.` completes in
 // minutes; `cmd/benchtables -profile quick|full` runs the same
-// experiments at larger scales. F1 outcomes are attached to each bench
-// via ReportMetric (microF1/macroF1), so the harness records both speed
-// and result shape.
+// experiments at larger scales. Each iteration starts a fresh
+// experiments.Run, so it times the training its table or figure needs.
+// F1 outcomes are attached to each bench via ReportMetric
+// (microF1/macroF1), so the harness records both speed and result shape.
 
 import (
 	"math/rand"
@@ -55,7 +56,7 @@ func benchSetup(b *testing.B) (experiments.Profile, *corpus.Corpus) {
 func BenchmarkTable1FeatureCounts(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.RunTable1(p, c)
+		rows, err := experiments.NewRun(p, c).Table1()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -76,7 +77,7 @@ func BenchmarkTable2GPParameters(b *testing.B) {
 func BenchmarkTable4ProSysAllSelections(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.RunTable4(p, c)
+		table, err := experiments.NewRun(p, c).Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +89,7 @@ func BenchmarkTable4ProSysAllSelections(b *testing.B) {
 func BenchmarkTable5ComparisonMI(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.RunTable5(p, c)
+		table, err := experiments.NewRun(p, c).Table5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +102,7 @@ func BenchmarkTable5ComparisonMI(b *testing.B) {
 func BenchmarkTable6ComparisonIG(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.RunTable6(p, c)
+		table, err := experiments.NewRun(p, c).Table6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func BenchmarkTable6ComparisonIG(b *testing.B) {
 func BenchmarkTableTemporalComparison(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		table, err := experiments.RunTableTemporal(p, c)
+		table, err := experiments.NewRun(p, c).TableTemporal()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -126,7 +127,7 @@ func BenchmarkTableTemporalComparison(b *testing.B) {
 func BenchmarkFigure3WordBMUMapping(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.RunFigure3(p, c, "earn")
+		out, err := experiments.NewRun(p, c).Figure3("earn")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func BenchmarkFigure3WordBMUMapping(b *testing.B) {
 func BenchmarkFigure5SingleLabelTrace(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.RunFigure5(p, c, "earn")
+		res, err := experiments.NewRun(p, c).Figure5("earn")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -150,7 +151,7 @@ func BenchmarkFigure5SingleLabelTrace(b *testing.B) {
 func BenchmarkFigure6MultiLabelTrace(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		res, _, err := experiments.RunFigure6(p, c)
+		res, err := experiments.NewRun(p, c).Figure6()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,7 +164,7 @@ func BenchmarkFigure6MultiLabelTrace(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	p, c := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.RunAblations(p, c)
+		results, err := experiments.NewRun(p, c).Ablations()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,7 +241,7 @@ func BenchmarkRLGPSequenceExecution(b *testing.B) {
 
 func BenchmarkModelScore(b *testing.B) {
 	p, c := benchSetup(b)
-	model, err := p.TrainProSys(c, DF)
+	model, err := experiments.NewRun(p, c).Model(DF)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -261,7 +262,7 @@ func BenchmarkModelScore(b *testing.B) {
 // (<5% target).
 func BenchmarkModelScoreTelemetry(b *testing.B) {
 	p, c := benchSetup(b)
-	model, err := p.TrainProSys(c, DF)
+	model, err := experiments.NewRun(p, c).Model(DF)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func BenchmarkModelScoreTelemetry(b *testing.B) {
 
 func BenchmarkModelClassify(b *testing.B) {
 	p, c := benchSetup(b)
-	model, err := p.TrainProSys(c, DF)
+	model, err := experiments.NewRun(p, c).Model(DF)
 	if err != nil {
 		b.Fatal(err)
 	}

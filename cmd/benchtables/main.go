@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"temporaldoc/internal/corpus"
 	"temporaldoc/internal/experiments"
 	"temporaldoc/internal/lgp"
 )
@@ -38,35 +37,28 @@ func main() {
 		os.Exit(2)
 	}
 
-	c, err := p.Corpus()
-	if err != nil {
-		fatal(err)
-	}
+	c := must(p.Corpus())
 	fmt.Printf("profile %s: %d train / %d test documents, %d categories\n\n",
 		p.Name, len(c.Train), len(c.Test), len(c.Categories))
 
-	if *ablations {
-		runAblations(p, c)
-		return
-	}
-	if *analysis {
-		runAnalysis(p, c)
-		return
-	}
-	if *temporal {
-		table, err := experiments.RunTableTemporal(p, c)
-		if err != nil {
-			fatal(err)
+	// One run serves every table and figure below, so each feature
+	// selection's model trains once.
+	r := experiments.NewRun(p, c)
+	switch {
+	case *ablations:
+		for _, res := range must(r.Ablations()) {
+			fmt.Println(res.Format())
 		}
-		fmt.Println(table.Format())
 		return
-	}
-	if *significance {
-		out, err := experiments.RunSignificance(p, c)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
+	case *analysis:
+		fmt.Println(experiments.CategoryOverlap(c).Format())
+		fmt.Println(must(r.Confusion()).Format())
+		return
+	case *temporal:
+		fmt.Println(must(r.TableTemporal()).Format())
+		return
+	case *significance:
+		fmt.Println(must(r.Significance()))
 		return
 	}
 
@@ -74,82 +66,39 @@ func main() {
 	wantFigure := func(n int) bool { return *table == 0 && *figure == 0 || *figure == n }
 
 	if wantTable(1) {
-		rows, err := experiments.RunTable1(p, c)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(experiments.FormatTable1(rows))
+		fmt.Println(experiments.FormatTable1(must(r.Table1())))
 	}
 	if wantTable(2) {
 		fmt.Println(experiments.FormatTable2(lgp.DefaultConfig()))
 	}
 	if wantTable(4) {
-		t4, err := experiments.RunTable4(p, c)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t4.Format())
+		fmt.Println(must(r.Table4()).Format())
 	}
 	if wantTable(5) {
-		t5, err := experiments.RunTable5(p, c)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t5.Format())
+		fmt.Println(must(r.Table5()).Format())
 	}
 	if wantTable(6) {
-		t6, err := experiments.RunTable6(p, c)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(t6.Format())
+		fmt.Println(must(r.Table6()).Format())
 	}
 	if wantFigure(3) {
-		out, err := experiments.RunFigure3(p, c, "earn")
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Println(out)
+		fmt.Println(must(r.Figure3("earn")))
 	}
 	if wantFigure(5) {
-		res, _, err := experiments.RunFigure5(p, c, "earn")
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Println(experiments.FormatTrace(
-			"Figure 5. Classification label changes for a single-labeled document", res))
+			"Figure 5. Classification label changes for a single-labeled document", must(r.Figure5("earn"))))
 	}
 	if wantFigure(6) {
-		res, _, err := experiments.RunFigure6(p, c)
-		if err != nil {
-			fatal(err)
-		}
 		fmt.Println(experiments.FormatTrace(
-			"Figure 6. Classification label changes for a multi-labeled document", res))
+			"Figure 6. Classification label changes for a multi-labeled document", must(r.Figure6())))
 	}
 }
 
-func runAblations(p experiments.Profile, c *corpus.Corpus) {
-	results, err := experiments.RunAblations(p, c)
+// must returns v, or exits through fatal when err is set.
+func must[T any](v T, err error) T {
 	if err != nil {
 		fatal(err)
 	}
-	for _, res := range results {
-		fmt.Println(res.Format())
-	}
-}
-
-func runAnalysis(p experiments.Profile, c *corpus.Corpus) {
-	fmt.Println(experiments.CategoryOverlap(c).Format())
-	model, err := p.TrainProSys(c, "mi")
-	if err != nil {
-		fatal(err)
-	}
-	cm, err := experiments.RunConfusion(model, c)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(cm.Format())
+	return v
 }
 
 func fatal(err error) {

@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"os"
 
-	"temporaldoc/internal/core"
 	"temporaldoc/internal/experiments"
 	"temporaldoc/internal/featsel"
 	"temporaldoc/internal/metrics"
@@ -102,6 +101,29 @@ func methodByName(name string) (featsel.Method, error) {
 	return "", fmt.Errorf("unknown feature method %q (one of %v)", name, featsel.AllMethods())
 }
 
+// profileFlags are the -profile, -seed and -scale flags that pick the
+// experiment profile a subcommand trains or generates with.
+type profileFlags struct {
+	name  *string
+	seed  *int64
+	scale *float64
+}
+
+// registerProfileFlags declares the profile flags with the subcommand's
+// default profile and -profile help text.
+func registerProfileFlags(fs *flag.FlagSet, def, usage string) *profileFlags {
+	return &profileFlags{
+		name:  fs.String("profile", def, usage),
+		seed:  fs.Int64("seed", 0, "override profile seed"),
+		scale: fs.Float64("scale", 0, "override corpus scale"),
+	}
+}
+
+// profile resolves the flags through experiments.ProfileByName.
+func (f *profileFlags) profile() (experiments.Profile, error) {
+	return experiments.ProfileByName(*f.name, *f.seed, *f.scale)
+}
+
 func cmdGenerate(args []string) error {
 	fs := flag.NewFlagSet("generate", flag.ExitOnError)
 	scale := fs.Float64("scale", 0.05, "fraction of the ModApte split sizes")
@@ -141,16 +163,14 @@ func cmdGenerate(args []string) error {
 func cmdEvaluate(args []string) error {
 	fs := flag.NewFlagSet("evaluate", flag.ExitOnError)
 	method := fs.String("method", "df", "feature selection: df, ig, mi, nouns, chi")
-	profile := fs.String("profile", "quick", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "quick", "experiment profile: smoke, quick, full")
 	breakeven := fs.Bool("breakeven", false, "also report per-category P/R break-even and average precision")
 	pf := registerPerfFlags(fs)
 	tf := registerTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -175,7 +195,7 @@ func cmdEvaluate(args []string) error {
 	}
 	fmt.Printf("profile %s, corpus %d train / %d test, method %s\n",
 		p.Name, len(c.Train), len(c.Test), m)
-	model, err := p.TrainProSys(c, m)
+	model, err := experiments.NewRun(p, c).Model(m)
 	if err != nil {
 		return err
 	}
@@ -221,14 +241,12 @@ func cmdEvaluate(args []string) error {
 func cmdCompare(args []string) error {
 	fs := flag.NewFlagSet("compare", flag.ExitOnError)
 	method := fs.String("method", "mi", "comparison table: mi (Table 5) or ig (Table 6)")
-	profile := fs.String("profile", "quick", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "quick", "experiment profile: smoke, quick, full")
 	pf := registerPerfFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -241,22 +259,17 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *method {
-	case "mi":
-		table, err := experiments.RunTable5(p, c)
-		if err != nil {
-			return err
-		}
-		fmt.Print(table.Format())
-	case "ig":
-		table, err := experiments.RunTable6(p, c)
-		if err != nil {
-			return err
-		}
-		fmt.Print(table.Format())
-	default:
+	r := experiments.NewRun(p, c)
+	tables := map[string]func() (*experiments.F1Table, error){"mi": r.Table5, "ig": r.Table6}
+	run, ok := tables[*method]
+	if !ok {
 		return fmt.Errorf("unknown comparison %q (mi, ig)", *method)
 	}
+	table, err := run()
+	if err != nil {
+		return err
+	}
+	fmt.Print(table.Format())
 	return nil
 }
 
@@ -264,15 +277,13 @@ func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	category := fs.String("category", "earn", "category for the single-label trace")
 	multi := fs.Bool("multi", false, "trace a multi-label document instead (Figure 6)")
-	profile := fs.String("profile", "smoke", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "smoke", "experiment profile: smoke, quick, full")
 	svg := fs.String("svg", "", "also write the trace as an SVG chart to this file")
 	pf := registerPerfFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -285,14 +296,14 @@ func cmdTrace(args []string) error {
 	if err != nil {
 		return err
 	}
+	r := experiments.NewRun(p, c)
 	var res *experiments.TraceResult
-	var model *core.Model
 	title := "Figure 5. Classification label changes for a single-labeled document"
 	if *multi {
 		title = "Figure 6. Classification label changes for a multi-labeled document"
-		res, model, err = experiments.RunFigure6(p, c)
+		res, err = r.Figure6()
 	} else {
-		res, model, err = experiments.RunFigure5(p, c, *category)
+		res, err = r.Figure5(*category)
 	}
 	if err != nil {
 		return err
@@ -303,7 +314,7 @@ func cmdTrace(args []string) error {
 		if err != nil {
 			return err
 		}
-		if err := experiments.TraceChart(title, res, model).WriteSVG(f); err != nil {
+		if err := experiments.TraceChart(title, res).WriteSVG(f); err != nil {
 			_ = f.Close()
 			return err
 		}
@@ -319,14 +330,12 @@ func cmdRule(args []string) error {
 	fs := flag.NewFlagSet("rule", flag.ExitOnError)
 	category := fs.String("category", "earn", "category whose evolved rule to print")
 	method := fs.String("method", "mi", "feature selection: df, ig, mi, nouns, chi")
-	profile := fs.String("profile", "smoke", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "smoke", "experiment profile: smoke, quick, full")
 	pf := registerPerfFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -343,7 +352,7 @@ func cmdRule(args []string) error {
 	if err != nil {
 		return err
 	}
-	model, err := p.TrainProSys(c, m)
+	model, err := experiments.NewRun(p, c).Model(m)
 	if err != nil {
 		return err
 	}

@@ -18,9 +18,7 @@ import (
 func cmdTrain(args []string) error {
 	fs := flag.NewFlagSet("train", flag.ExitOnError)
 	method := fs.String("method", "df", "feature selection: df, ig, mi, nouns, chi")
-	profile := fs.String("profile", "smoke", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "smoke", "experiment profile: smoke, quick, full")
 	out := fs.String("out", "model.json", "output model file")
 	sgml := fs.String("sgml", "", "comma-free glob of SGML training files (default: synthetic corpus)")
 	pf := registerPerfFlags(fs)
@@ -28,7 +26,7 @@ func cmdTrain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -87,9 +85,7 @@ func cmdClassify(args []string) error {
 	modelPath := fs.String("model", "model.json", "persisted model file")
 	method := fs.String("method", "", "require the snapshot's feature-selection method (df, ig, mi, nouns, chi; empty accepts any)")
 	sgml := fs.String("sgml", "", "SGML file with documents to classify (default: synthetic test split)")
-	profile := fs.String("profile", "smoke", "profile for the default synthetic corpus")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "smoke", "profile for the default synthetic corpus")
 	limit := fs.Int("limit", 20, "maximum documents to print")
 	tf := registerTelemetryFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -123,7 +119,7 @@ func cmdClassify(args []string) error {
 	// Loaded models start silent; retrofit the session's registry so
 	// classification latency and cache hit rates land in -metrics.
 	model.AttachTelemetry(ts.reg)
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}
@@ -166,14 +162,12 @@ func cmdClassify(args []string) error {
 // supplied SGML file.
 func cmdStats(args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
-	profile := fs.String("profile", "quick", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "quick", "experiment profile: smoke, quick, full")
 	sgml := fs.String("sgml", "", "SGML file to analyse (default: synthetic corpus)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}

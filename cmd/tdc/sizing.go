@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"temporaldoc/internal/experiments"
 	"temporaldoc/internal/hsom"
 )
 
@@ -17,16 +16,14 @@ import (
 // way).
 func cmdSizing(args []string) error {
 	fs := flag.NewFlagSet("sizing", flag.ExitOnError)
-	profile := fs.String("profile", "smoke", "experiment profile: smoke, quick, full")
-	seed := fs.Int64("seed", 0, "override profile seed")
-	scale := fs.Float64("scale", 0, "override corpus scale")
+	prof := registerProfileFlags(fs, "smoke", "experiment profile: smoke, quick, full")
 	epochs := fs.Int("epochs", 2, "training epochs per candidate")
 	candidates := fs.String("candidates", "4x4,5x5,7x7,7x13,10x10,12x12",
 		"comma-separated WxH candidate geometries")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	p, err := experiments.ProfileByName(*profile, *seed, *scale)
+	p, err := prof.profile()
 	if err != nil {
 		return err
 	}

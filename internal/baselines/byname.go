@@ -39,32 +39,53 @@ func New(name string, features []string, seed int64) (Classifier, error) {
 	}
 }
 
-// Evaluate trains the named classifier once per category on the
+// CategoryClassifier is a comparison classifier trained for one
+// category, together with that category's selected features.
+type CategoryClassifier struct {
+	clf  Classifier
+	keep map[string]bool
+}
+
+// TrainCategory trains the named classifier for one category on the
 // training split, with documents filtered to the category's selected
-// features as in the paper's comparisons, and observes its decision on
-// every test document.
+// features as in the paper's comparisons.
+func TrainCategory(name string, sel *featsel.Selection, c *corpus.Corpus, cat string, seed int64) (*CategoryClassifier, error) {
+	keep := sel.KeepFor(cat)
+	features := make([]string, 0, len(keep))
+	for f := range keep {
+		features = append(features, f)
+	}
+	clf, err := New(name, features, seed)
+	if err != nil {
+		return nil, err
+	}
+	train := make([]corpus.Document, len(c.Train))
+	for i := range c.Train {
+		train[i] = corpus.FilterWords(c.Train[i], keep)
+	}
+	if err := clf.Train(train, cat); err != nil {
+		return nil, fmt.Errorf("baselines: %s on %s: %w", name, cat, err)
+	}
+	return &CategoryClassifier{clf: clf, keep: keep}, nil
+}
+
+// Predict is the classifier's decision on a document filtered to its
+// category's selected features.
+func (cc *CategoryClassifier) Predict(doc *corpus.Document) bool {
+	return cc.clf.Predict(corpus.FilterWords(*doc, cc.keep).Words)
+}
+
+// Evaluate trains the named classifier once per category
+// (TrainCategory) and observes its decision on every test document.
 func Evaluate(name string, sel *featsel.Selection, c *corpus.Corpus, seed int64) (*metrics.Set, error) {
 	set := metrics.NewSet()
 	for _, cat := range c.Categories {
-		keep := sel.KeepFor(cat)
-		features := make([]string, 0, len(keep))
-		for f := range keep {
-			features = append(features, f)
-		}
-		clf, err := New(name, features, seed)
+		clf, err := TrainCategory(name, sel, c, cat, seed)
 		if err != nil {
 			return nil, err
 		}
-		train := make([]corpus.Document, len(c.Train))
-		for i := range c.Train {
-			train[i] = corpus.FilterWords(c.Train[i], keep)
-		}
-		if err := clf.Train(train, cat); err != nil {
-			return nil, fmt.Errorf("baselines: %s on %s: %w", name, cat, err)
-		}
 		for i := range c.Test {
-			filtered := corpus.FilterWords(c.Test[i], keep)
-			set.Observe(cat, c.Test[i].HasCategory(cat), clf.Predict(filtered.Words))
+			set.Observe(cat, c.Test[i].HasCategory(cat), clf.Predict(&c.Test[i]))
 		}
 	}
 	return set, nil

@@ -55,7 +55,7 @@ func runVariant(cfg core.Config, c *corpus.Corpus) (micro, macro, meanFitness fl
 // profiles already make these choices, so this is the profile's own
 // model.
 func (p Profile) paperDesign() core.Config {
-	cfg := p.coreConfig(featsel.DF)
+	cfg := p.CoreConfig(featsel.DF)
 	cfg.GP.Recurrent = true
 	cfg.Encoder.BMUFanout = 3
 	dss := lgp.DSSConfig{SubsetSize: 40, Interval: 50}
@@ -118,12 +118,13 @@ var ablations = []ablation{
 		func(cfg *core.Config) { cfg.Threshold = core.ThresholdF1 }},
 }
 
-// RunAblations trains the paper design once and each ablation's
+// Ablations trains the paper design once and each ablation's
 // alternative once, and returns one comparison per ablation in report
-// order. Every result's A side is the same paper-design row.
-func RunAblations(p Profile, c *corpus.Corpus) ([]AblationResult, error) {
-	paper := p.paperDesign()
-	microA, macroA, fitA, err := runVariant(paper, c)
+// order. Every result's A side is the same paper-design row. These
+// variants are the suite's own models, not the run's.
+func (r *Run) Ablations() ([]AblationResult, error) {
+	paper := r.p.paperDesign()
+	microA, macroA, fitA, err := runVariant(paper, r.c)
 	if err != nil {
 		return nil, fmt.Errorf("paper design: %w", err)
 	}
@@ -131,7 +132,7 @@ func RunAblations(p Profile, c *corpus.Corpus) ([]AblationResult, error) {
 	for i, a := range ablations {
 		cfg := paper
 		a.mutate(&cfg)
-		microB, macroB, fitB, err := runVariant(cfg, c)
+		microB, macroB, fitB, err := runVariant(cfg, r.c)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", a.name, err)
 		}

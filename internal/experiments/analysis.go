@@ -6,8 +6,8 @@ import (
 	"sort"
 	"strings"
 
-	"temporaldoc/internal/core"
 	"temporaldoc/internal/corpus"
+	"temporaldoc/internal/featsel"
 )
 
 // OverlapMatrix holds pairwise category vocabulary similarities — the
@@ -130,9 +130,13 @@ type ConfusionMatrix struct {
 	Support    []int
 }
 
-// RunConfusion evaluates a trained model's cross-classification rates on
-// the test split.
-func RunConfusion(model *core.Model, c *corpus.Corpus) (*ConfusionMatrix, error) {
+// Confusion evaluates the cross-classification rates of the run's MI
+// model on the test split.
+func (r *Run) Confusion() (*ConfusionMatrix, error) {
+	model, err := r.Model(featsel.MI)
+	if err != nil {
+		return nil, err
+	}
 	cats := model.Categories()
 	idx := make(map[string]int, len(cats))
 	for i, cat := range cats {
@@ -148,8 +152,8 @@ func RunConfusion(model *core.Model, c *corpus.Corpus) (*ConfusionMatrix, error)
 		counts[i] = make([]int, len(cats))
 		cm.Rate[i] = make([]float64, len(cats))
 	}
-	for i := range c.Test {
-		doc := &c.Test[i]
+	for i := range r.c.Test {
+		doc := &r.c.Test[i]
 		predicted, err := model.Classify(doc)
 		if err != nil {
 			return nil, err

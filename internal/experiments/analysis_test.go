@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"temporaldoc/internal/featsel"
 )
 
 func TestCategoryOverlapMoneyInterest(t *testing.T) {
@@ -52,13 +50,9 @@ func TestRunConfusion(t *testing.T) {
 		t.Skip("confusion matrix skipped in -short")
 	}
 	c := profileCorpus(t)
-	model, err := testProfile.TrainProSys(c, featsel.MI)
+	cm, err := testRun(t).Confusion()
 	if err != nil {
-		t.Fatalf("train: %v", err)
-	}
-	cm, err := RunConfusion(model, c)
-	if err != nil {
-		t.Fatalf("RunConfusion: %v", err)
+		t.Fatalf("Confusion: %v", err)
 	}
 	if len(cm.Categories) != len(c.Categories) {
 		t.Fatalf("categories = %v", cm.Categories)

@@ -11,8 +11,11 @@
 //	Figure 5 — single-label word-tracking trace
 //	Figure 6 — multi-label word-tracking trace
 //
-// Each runner is deterministic for a fixed Profile and is shared by the
-// benchmark harness (bench_test.go) and the benchtables command.
+// Every runner is a method of a Run, which trains the paper's system
+// once per feature selection and shares that model among the tables and
+// figures that use it. Each runner is deterministic for a fixed Profile
+// and is shared by the benchmark harness (bench_test.go), the
+// benchtables command and tdc.
 package experiments
 
 import (
@@ -139,8 +142,10 @@ func (p Profile) Corpus() (*corpus.Corpus, error) {
 	return reuters.GenerateCorpus(cfg)
 }
 
-// coreConfig assembles the pipeline configuration for a feature method.
-func (p Profile) coreConfig(method featsel.Method) core.Config {
+// CoreConfig is the pipeline configuration the profile trains a feature
+// selection's model with. A zero FeatureBudget takes the paper's Table 1
+// budget for the method.
+func (p Profile) CoreConfig(method featsel.Method) core.Config {
 	budget := p.FeatureBudget
 	if budget == (featsel.Config{}) {
 		budget = featsel.DefaultConfig(method)
@@ -157,15 +162,35 @@ func (p Profile) coreConfig(method featsel.Method) core.Config {
 	}
 }
 
-// TrainProSys trains the paper's system under one feature selection.
-func (p Profile) TrainProSys(c *corpus.Corpus, method featsel.Method) (*core.Model, error) {
-	return core.Train(p.coreConfig(method), c)
+// Run is one experiment run: a profile, its corpus and, for each feature
+// selection, the ProSys model trained on first use. Every table and
+// figure of the run that needs a selection's model shares that one
+// model; training is deterministic, so sharing changes no output. A Run
+// is not safe for concurrent use.
+type Run struct {
+	p      Profile
+	c      *corpus.Corpus
+	models map[featsel.Method]*core.Model
 }
 
-// CoreConfig exposes the pipeline configuration the profile would train
-// with, so callers can attach progress callbacks or tweak fields.
-func (p Profile) CoreConfig(method featsel.Method) core.Config {
-	return p.coreConfig(method)
+// NewRun starts a run of the profile over a corpus, normally the
+// profile's own (Profile.Corpus).
+func NewRun(p Profile, c *corpus.Corpus) *Run {
+	return &Run{p: p, c: c, models: make(map[featsel.Method]*core.Model)}
+}
+
+// Model returns the paper's system trained under one feature selection,
+// training it on the first call for that selection.
+func (r *Run) Model(method featsel.Method) (*core.Model, error) {
+	if m := r.models[method]; m != nil {
+		return m, nil
+	}
+	m, err := core.Train(r.p.CoreConfig(method), r.c)
+	if err != nil {
+		return nil, fmt.Errorf("ProSys %s: %w", method, err)
+	}
+	r.models[method] = m
+	return m, nil
 }
 
 // --- Table 1 ---
@@ -178,16 +203,13 @@ type Table1Row struct {
 	Selected int
 }
 
-// RunTable1 reproduces Table 1: the number of selected features per
-// method.
-func RunTable1(p Profile, c *corpus.Corpus) ([]Table1Row, error) {
+// Table1 reproduces Table 1: the number of selected features per
+// method. It selects without training.
+func (r *Run) Table1() ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, 4)
 	for _, m := range []featsel.Method{featsel.DF, featsel.IG, featsel.MI, featsel.Nouns} {
-		budget := p.FeatureBudget
-		if budget == (featsel.Config{}) {
-			budget = featsel.DefaultConfig(m)
-		}
-		sel, err := featsel.Select(m, c.Train, c.Categories, budget)
+		budget := r.p.CoreConfig(m).FeatureConfig
+		sel, err := featsel.Select(m, r.c.Train, r.c.Categories, budget)
 		if err != nil {
 			return nil, err
 		}
@@ -318,19 +340,19 @@ func (t *F1Table) Format() string {
 	return b.String()
 }
 
-// RunTable4 reproduces Table 4: ProSys F1 per category under the four
+// Table4 reproduces Table 4: ProSys F1 per category under the four
 // feature-selection methods.
-func RunTable4(p Profile, c *corpus.Corpus) (*F1Table, error) {
+func (r *Run) Table4() (*F1Table, error) {
 	methods := []featsel.Method{featsel.DF, featsel.IG, featsel.Nouns, featsel.MI}
 	names := []string{"DF", "IG", "Nouns", "MI"}
 	table := newF1Table("Table 4. Performance on Reuters-like corpus, four feature selections (F1)",
-		names, c.Categories)
+		names, r.c.Categories)
 	for i, m := range methods {
-		model, err := p.TrainProSys(c, m)
+		model, err := r.Model(m)
 		if err != nil {
-			return nil, fmt.Errorf("table4 %s: %w", m, err)
+			return nil, err
 		}
-		set, err := model.Evaluate(c.Test)
+		set, err := model.Evaluate(r.c.Test)
 		if err != nil {
 			return nil, err
 		}
@@ -371,119 +393,70 @@ func evaluateBaseline(label string, sel *featsel.Selection, c *corpus.Corpus, se
 	return baselines.Evaluate(name, sel, c, seed)
 }
 
-// RunTable5 reproduces Table 5: ProSys vs T-GP, L-SVM, DT and NB under
+// Table5 reproduces Table 5: ProSys vs T-GP, L-SVM, DT and NB under
 // Mutual Information feature selection.
-func RunTable5(p Profile, c *corpus.Corpus) (*F1Table, error) {
-	systems := []string{"ProSys", "T-GP", "L-SVM", "DT", "NB"}
-	table := newF1Table("Table 5. Comparison: Mutual Information (F1)", systems, c.Categories)
-
-	model, err := p.TrainProSys(c, featsel.MI)
-	if err != nil {
-		return nil, fmt.Errorf("table5 ProSys: %w", err)
-	}
-	set, err := model.Evaluate(c.Test)
-	if err != nil {
-		return nil, err
-	}
-	table.addSystem("ProSys", set)
-
-	budget := p.FeatureBudget
-	if budget == (featsel.Config{}) {
-		budget = featsel.DefaultConfig(featsel.MI)
-	}
-	sel, err := featsel.Select(featsel.MI, c.Train, c.Categories, budget)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range systems[1:] {
-		bset, err := evaluateBaseline(name, sel, c, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		table.addSystem(name, bset)
-	}
-	return table, nil
+func (r *Run) Table5() (*F1Table, error) {
+	return r.compare(comparison{"Table 5. Comparison: Mutual Information (F1)", featsel.MI,
+		[]string{"T-GP", "L-SVM", "DT", "NB"}})
 }
 
-// RunTable6 reproduces Table 6: ProSys vs NB and Rocchio under
-// Information Gain feature selection.
-func RunTable6(p Profile, c *corpus.Corpus) (*F1Table, error) {
-	systems := []string{"ProSys", "NB", "Rocchio"}
-	table := newF1Table("Table 6. Comparison: Information Gain (F1)", systems, c.Categories)
-
-	model, err := p.TrainProSys(c, featsel.IG)
-	if err != nil {
-		return nil, fmt.Errorf("table6 ProSys: %w", err)
-	}
-	set, err := model.Evaluate(c.Test)
-	if err != nil {
-		return nil, err
-	}
-	table.addSystem("ProSys", set)
-
-	budget := p.FeatureBudget
-	if budget == (featsel.Config{}) {
-		budget = featsel.DefaultConfig(featsel.IG)
-	}
-	sel, err := featsel.Select(featsel.IG, c.Train, c.Categories, budget)
-	if err != nil {
-		return nil, err
-	}
-	for _, name := range systems[1:] {
-		bset, err := evaluateBaseline(name, sel, c, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		table.addSystem(name, bset)
-	}
-	return table, nil
+// Table6 reproduces Table 6: ProSys vs NB and Rocchio under Information
+// Gain feature selection.
+func (r *Run) Table6() (*F1Table, error) {
+	return r.compare(comparison{"Table 6. Comparison: Information Gain (F1)", featsel.IG,
+		[]string{"NB", "Rocchio"}})
 }
 
-// RunTableTemporal is an extension table not in the paper: ProSys
-// against the two *temporal* approaches its related-work section
-// discusses — the word-sequence kernel (Cancedda et al. 2003) and a
-// Wermter-style Elman recurrent network — under MI feature selection.
-// This isolates the paper's contribution among order-aware systems,
-// where Tables 5/6 compare against bag-of-words models.
-func RunTableTemporal(p Profile, c *corpus.Corpus) (*F1Table, error) {
-	systems := []string{"ProSys", "SeqK", "Elman"}
-	table := newF1Table("Extension. Temporal systems comparison: Mutual Information (F1)",
-		systems, c.Categories)
-	model, err := p.TrainProSys(c, featsel.MI)
-	if err != nil {
-		return nil, fmt.Errorf("temporal table ProSys: %w", err)
-	}
-	set, err := model.Evaluate(c.Test)
-	if err != nil {
-		return nil, err
-	}
-	table.addSystem("ProSys", set)
+// TableTemporal is an extension table not in the paper: ProSys against
+// the two *temporal* approaches its related-work section discusses — the
+// word-sequence kernel (Cancedda et al. 2003) and a Wermter-style Elman
+// recurrent network — under MI feature selection. This isolates the
+// paper's contribution among order-aware systems, where Tables 5/6
+// compare against bag-of-words models.
+func (r *Run) TableTemporal() (*F1Table, error) {
+	return r.compare(comparison{"Extension. Temporal systems comparison: Mutual Information (F1)", featsel.MI,
+		[]string{"SeqK", "Elman"}})
+}
 
-	budget := p.FeatureBudget
-	if budget == (featsel.Config{}) {
-		budget = featsel.DefaultConfig(featsel.MI)
-	}
-	sel, err := featsel.Select(featsel.MI, c.Train, c.Categories, budget)
+// comparison is a table that sets ProSys beside comparison systems under
+// one feature selection.
+type comparison struct {
+	title     string
+	selection featsel.Method
+	systems   []string // the comparison systems' labels, after ProSys
+}
+
+// compare runs a comparison table: the run's ProSys model of the
+// table's selection, and each comparison system trained once per
+// category on that model's own selected features.
+func (r *Run) compare(t comparison) (*F1Table, error) {
+	model, err := r.Model(t.selection)
 	if err != nil {
 		return nil, err
 	}
-	for _, name := range systems[1:] {
-		bset, err := evaluateBaseline(name, sel, c, p.Seed)
+	set, err := model.Evaluate(r.c.Test)
+	if err != nil {
+		return nil, err
+	}
+	table := newF1Table(t.title, append([]string{"ProSys"}, t.systems...), r.c.Categories)
+	table.addSystem("ProSys", set)
+	for _, label := range t.systems {
+		bset, err := evaluateBaseline(label, model.Selection(), r.c, r.p.Seed)
 		if err != nil {
 			return nil, err
 		}
-		table.addSystem(name, bset)
+		table.addSystem(label, bset)
 	}
 	return table, nil
 }
 
 // --- Figures ---
 
-// RunFigure3 trains the encoder alone and renders the category word SOM
-// hit grid plus the ordered BMU trace of one document — the Figure 3
+// Figure3 renders the word SOM hit grid of a category under the run's
+// DF model plus the ordered BMU trace of one document — the Figure 3
 // word → BMU mapping view.
-func RunFigure3(p Profile, c *corpus.Corpus, category string) (string, error) {
-	model, err := p.TrainProSys(c, featsel.DF)
+func (r *Run) Figure3(category string) (string, error) {
+	model, err := r.Model(featsel.DF)
 	if err != nil {
 		return "", err
 	}
@@ -491,7 +464,7 @@ func RunFigure3(p Profile, c *corpus.Corpus, category string) (string, error) {
 	if ce == nil {
 		return "", fmt.Errorf("category %q not trained", category)
 	}
-	docs := c.TrainFor(category)
+	docs := r.c.TrainFor(category)
 	if len(docs) == 0 {
 		return "", fmt.Errorf("no documents for %q", category)
 	}
@@ -520,59 +493,54 @@ type TraceResult struct {
 	Categories []string // the document's true labels
 	// Traces maps category -> per-word classifier trajectory.
 	Traces map[string][]core.TracePoint
+	model  *core.Model // the traced model, for its thresholds
 }
 
-// RunFigure5 trains ProSys under MI (the paper's Figure 5 setting) and
-// traces a single-label document of the target category.
-func RunFigure5(p Profile, c *corpus.Corpus, category string) (*TraceResult, *core.Model, error) {
-	model, err := p.TrainProSys(c, featsel.MI)
-	if err != nil {
-		return nil, nil, err
-	}
-	doc := findDoc(c.Test, func(d *corpus.Document) bool {
+// Figure5 traces a single-label test document of the target category
+// through the run's MI model (the paper's Figure 5 setting).
+func (r *Run) Figure5(category string) (*TraceResult, error) {
+	doc := findDoc(r.c.Test, func(d *corpus.Document) bool {
 		return len(d.Categories) == 1 && d.Categories[0] == category
 	})
 	if doc == nil {
-		return nil, nil, fmt.Errorf("no single-label %q test document", category)
+		return nil, fmt.Errorf("no single-label %q test document", category)
 	}
-	tr, err := model.Trace(category, doc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &TraceResult{
-		DocID:      doc.ID,
-		Categories: doc.Categories,
-		Traces:     map[string][]core.TracePoint{category: tr},
-	}, model, nil
+	return r.trace(doc, []string{category})
 }
 
-// RunFigure6 traces a multi-label document (grain+wheat+trade when
+// Figure6 traces a multi-label test document (grain+wheat+trade when
 // available) through every one of its label classifiers.
-func RunFigure6(p Profile, c *corpus.Corpus) (*TraceResult, *core.Model, error) {
-	model, err := p.TrainProSys(c, featsel.MI)
+func (r *Run) Figure6() (*TraceResult, error) {
+	doc := findDoc(r.c.Test, func(d *corpus.Document) bool { return len(d.Categories) >= 3 })
+	if doc == nil {
+		doc = findDoc(r.c.Test, func(d *corpus.Document) bool { return len(d.Categories) >= 2 })
+	}
+	if doc == nil {
+		return nil, fmt.Errorf("no multi-label test document")
+	}
+	return r.trace(doc, doc.Categories)
+}
+
+// trace runs the run's MI model's classifiers of cats over a document.
+func (r *Run) trace(doc *corpus.Document, cats []string) (*TraceResult, error) {
+	model, err := r.Model(featsel.MI)
 	if err != nil {
-		return nil, nil, err
-	}
-	doc := findDoc(c.Test, func(d *corpus.Document) bool { return len(d.Categories) >= 3 })
-	if doc == nil {
-		doc = findDoc(c.Test, func(d *corpus.Document) bool { return len(d.Categories) >= 2 })
-	}
-	if doc == nil {
-		return nil, nil, fmt.Errorf("no multi-label test document")
+		return nil, err
 	}
 	res := &TraceResult{
 		DocID:      doc.ID,
 		Categories: doc.Categories,
-		Traces:     make(map[string][]core.TracePoint, len(doc.Categories)),
+		Traces:     make(map[string][]core.TracePoint, len(cats)),
+		model:      model,
 	}
-	for _, cat := range doc.Categories {
+	for _, cat := range cats {
 		tr, err := model.Trace(cat, doc)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		res.Traces[cat] = tr
 	}
-	return res, model, nil
+	return res, nil
 }
 
 func findDoc(docs []corpus.Document, pred func(*corpus.Document) bool) *corpus.Document {
@@ -612,7 +580,7 @@ func FormatTrace(title string, tr *TraceResult) string {
 // TraceChart converts a word-tracking trace into an SVG step chart:
 // one series per category over the member-word axis, with each
 // category's decision threshold drawn as a dashed reference line.
-func TraceChart(title string, tr *TraceResult, model *core.Model) *plot.Chart {
+func TraceChart(title string, tr *TraceResult) *plot.Chart {
 	chart := &plot.Chart{
 		Title:  title,
 		XLabel: "member word",
@@ -633,7 +601,7 @@ func TraceChart(title string, tr *TraceResult, model *core.Model) *plot.Chart {
 			s.Y = append(s.Y, p.Output)
 		}
 		chart.Series = append(chart.Series, s)
-		if cm := model.CategoryModelFor(cat); cm != nil {
+		if cm := tr.model.CategoryModelFor(cat); cm != nil {
 			chart.HLines = append(chart.HLines, cm.Threshold)
 		}
 	}

@@ -10,10 +10,12 @@ import (
 	"temporaldoc/internal/telemetry"
 )
 
-// The smoke profile and its corpus are shared across the package tests.
+// The smoke profile, its corpus and one run over them are shared across
+// the package tests, so each selection's model trains once.
 var (
 	testProfile = SmokeProfile()
 	testCorpus  *corpus.Corpus
+	sharedRun   *Run
 )
 
 func profileCorpus(t *testing.T) *corpus.Corpus {
@@ -26,6 +28,14 @@ func profileCorpus(t *testing.T) *corpus.Corpus {
 		testCorpus = c
 	}
 	return testCorpus
+}
+
+func testRun(t *testing.T) *Run {
+	t.Helper()
+	if sharedRun == nil {
+		sharedRun = NewRun(testProfile, profileCorpus(t))
+	}
+	return sharedRun
 }
 
 func TestProfilesWellFormed(t *testing.T) {
@@ -41,10 +51,9 @@ func TestProfilesWellFormed(t *testing.T) {
 }
 
 func TestRunTable1(t *testing.T) {
-	c := profileCorpus(t)
-	rows, err := RunTable1(testProfile, c)
+	rows, err := testRun(t).Table1()
 	if err != nil {
-		t.Fatalf("RunTable1: %v", err)
+		t.Fatalf("Table1: %v", err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
@@ -77,10 +86,9 @@ func TestRunTable4SmokeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 4 smoke run skipped in -short")
 	}
-	c := profileCorpus(t)
-	table, err := RunTable4(testProfile, c)
+	table, err := testRun(t).Table4()
 	if err != nil {
-		t.Fatalf("RunTable4: %v", err)
+		t.Fatalf("Table4: %v", err)
 	}
 	if len(table.Systems) != 4 {
 		t.Fatalf("systems = %v", table.Systems)
@@ -105,10 +113,9 @@ func TestRunTable5SmokeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 5 smoke run skipped in -short")
 	}
-	c := profileCorpus(t)
-	table, err := RunTable5(testProfile, c)
+	table, err := testRun(t).Table5()
 	if err != nil {
-		t.Fatalf("RunTable5: %v", err)
+		t.Fatalf("Table5: %v", err)
 	}
 	want := []string{"ProSys", "T-GP", "L-SVM", "DT", "NB"}
 	for i, s := range want {
@@ -127,10 +134,9 @@ func TestRunTable6SmokeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("table 6 smoke run skipped in -short")
 	}
-	c := profileCorpus(t)
-	table, err := RunTable6(testProfile, c)
+	table, err := testRun(t).Table6()
 	if err != nil {
-		t.Fatalf("RunTable6: %v", err)
+		t.Fatalf("Table6: %v", err)
 	}
 	if len(table.Systems) != 3 || table.Systems[0] != "ProSys" {
 		t.Fatalf("systems = %v", table.Systems)
@@ -144,15 +150,15 @@ func TestRunFigure3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure 3 smoke run skipped in -short")
 	}
-	c := profileCorpus(t)
-	out, err := RunFigure3(testProfile, c, "earn")
+	r := testRun(t)
+	out, err := r.Figure3("earn")
 	if err != nil {
-		t.Fatalf("RunFigure3: %v", err)
+		t.Fatalf("Figure3: %v", err)
 	}
 	if !strings.Contains(out, "->") || !strings.Contains(out, "*") {
 		t.Errorf("figure 3 output incomplete:\n%s", out)
 	}
-	if _, err := RunFigure3(testProfile, c, "bogus"); err == nil {
+	if _, err := r.Figure3("bogus"); err == nil {
 		t.Error("unknown category accepted")
 	}
 }
@@ -161,10 +167,10 @@ func TestRunFigure5And6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure traces skipped in -short")
 	}
-	c := profileCorpus(t)
-	res5, _, err := RunFigure5(testProfile, c, "earn")
+	r := testRun(t)
+	res5, err := r.Figure5("earn")
 	if err != nil {
-		t.Fatalf("RunFigure5: %v", err)
+		t.Fatalf("Figure5: %v", err)
 	}
 	if len(res5.Categories) != 1 || res5.Categories[0] != "earn" {
 		t.Errorf("figure 5 doc labels = %v, want single-label earn", res5.Categories)
@@ -174,9 +180,9 @@ func TestRunFigure5And6(t *testing.T) {
 		t.Errorf("trace render incomplete:\n%s", out)
 	}
 
-	res6, _, err := RunFigure6(testProfile, c)
+	res6, err := r.Figure6()
 	if err != nil {
-		t.Fatalf("RunFigure6: %v", err)
+		t.Fatalf("Figure6: %v", err)
 	}
 	if len(res6.Categories) < 2 {
 		t.Errorf("figure 6 doc labels = %v, want multi-label", res6.Categories)
@@ -193,9 +199,9 @@ func TestAblationsRun(t *testing.T) {
 	c := profileCorpus(t)
 	p := testProfile
 	p.Metrics = telemetry.NewRegistry()
-	results, err := RunAblations(p, c)
+	results, err := NewRun(p, c).Ablations()
 	if err != nil {
-		t.Fatalf("RunAblations: %v", err)
+		t.Fatalf("Ablations: %v", err)
 	}
 	// The paper design trains once, each alternative once.
 	want := int64((1 + len(ablations)) * len(c.Categories))
@@ -241,10 +247,9 @@ func TestRunSignificance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("significance run skipped in -short")
 	}
-	c := profileCorpus(t)
-	out, err := RunSignificance(testProfile, c)
+	out, err := testRun(t).Significance()
 	if err != nil {
-		t.Fatalf("RunSignificance: %v", err)
+		t.Fatalf("Significance: %v", err)
 	}
 	for _, want := range []string{"ProSys", "NB", "Rocchio", "signP", "tTestP"} {
 		if !strings.Contains(out, want) {
@@ -257,10 +262,9 @@ func TestRunTableTemporalSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("temporal table skipped in -short")
 	}
-	c := profileCorpus(t)
-	table, err := RunTableTemporal(testProfile, c)
+	table, err := testRun(t).TableTemporal()
 	if err != nil {
-		t.Fatalf("RunTableTemporal: %v", err)
+		t.Fatalf("TableTemporal: %v", err)
 	}
 	for _, s := range []string{"ProSys", "SeqK", "Elman"} {
 		if table.Micro[s] < 0 || table.Micro[s] > 1 {

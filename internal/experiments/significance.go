@@ -67,51 +67,26 @@ func evalBaselineSystem(name string, sel *featsel.Selection, c *corpus.Corpus, s
 	if err != nil {
 		return nil, err
 	}
-	clfs := make(map[string]baselines.Classifier, len(c.Categories))
-	keeps := make(map[string]map[string]bool, len(c.Categories))
+	clfs := make(map[string]*baselines.CategoryClassifier, len(c.Categories))
 	for _, cat := range c.Categories {
-		keep := sel.KeepFor(cat)
-		keeps[cat] = keep
-		features := make([]string, 0, len(keep))
-		for f := range keep {
-			features = append(features, f)
-		}
-		clf, err := baselines.New(baseline, features, seed)
-		if err != nil {
+		if clfs[cat], err = baselines.TrainCategory(baseline, sel, c, cat, seed); err != nil {
 			return nil, err
 		}
-		train := make([]corpus.Document, len(c.Train))
-		for i := range c.Train {
-			train[i] = corpus.FilterWords(c.Train[i], keep)
-		}
-		if err := clf.Train(train, cat); err != nil {
-			return nil, err
-		}
-		clfs[cat] = clf
 	}
 	return evalDecisions(name, c, func(doc *corpus.Document, cat string) (bool, error) {
-		filtered := corpus.FilterWords(*doc, keeps[cat])
-		return clfs[cat].Predict(filtered.Words), nil
+		return clfs[cat].Predict(doc), nil
 	})
 }
 
-// RunSignificance compares ProSys against the Table 5 baselines under
-// MI features with the micro sign test and the macro paired t-test,
-// returning a formatted report.
-func RunSignificance(p Profile, c *corpus.Corpus) (string, error) {
-	model, err := p.TrainProSys(c, featsel.MI)
+// Significance compares the run's MI model against five bag-of-words
+// baselines, trained on that model's selected features, with the micro
+// sign test and the macro paired t-test, returning a formatted report.
+func (r *Run) Significance() (string, error) {
+	model, err := r.Model(featsel.MI)
 	if err != nil {
 		return "", err
 	}
-	pro, err := evalProSys(model, c)
-	if err != nil {
-		return "", err
-	}
-	budget := p.FeatureBudget
-	if budget == (featsel.Config{}) {
-		budget = featsel.DefaultConfig(featsel.MI)
-	}
-	sel, err := featsel.Select(featsel.MI, c.Train, c.Categories, budget)
+	pro, err := evalProSys(model, r.c)
 	if err != nil {
 		return "", err
 	}
@@ -122,7 +97,7 @@ func RunSignificance(p Profile, c *corpus.Corpus) (string, error) {
 		"system", "microF1", "macroF1", "ProSys-only", "sys-only", "signP", "tTestP")
 	fmt.Fprintf(&b, "%-8s %8.3f %8.3f\n", "ProSys", pro.Micro, pro.Macro)
 	for _, name := range []string{"NB", "DT", "L-SVM", "Rocchio", "kNN"} {
-		sys, err := evalBaselineSystem(name, sel, c, p.Seed)
+		sys, err := evalBaselineSystem(name, model.Selection(), r.c, r.p.Seed)
 		if err != nil {
 			return "", err
 		}

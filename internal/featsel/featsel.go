@@ -98,20 +98,6 @@ func (s *Selection) KeepFor(cat string) map[string]bool {
 	return setOf(s.PerCategory[cat])
 }
 
-// KeepAll returns the union of every selected feature.
-func (s *Selection) KeepAll() map[string]bool {
-	if s.IsGlobal() {
-		return setOf(s.Global)
-	}
-	out := make(map[string]bool)
-	for _, feats := range s.PerCategory {
-		for _, f := range feats {
-			out[f] = true
-		}
-	}
-	return out
-}
-
 // Count returns the total number of (category-scoped) selected features:
 // len(Global) for global methods, the sum of per-category list lengths
 // otherwise.

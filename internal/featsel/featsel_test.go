@@ -152,14 +152,6 @@ func TestKeepForGlobalAndPerCategory(t *testing.T) {
 	if len(miSel.KeepFor("nonexistent")) != 0 {
 		t.Error("KeepFor unknown category non-empty")
 	}
-}
-
-func TestKeepAllUnion(t *testing.T) {
-	miSel, _ := Select(MI, trainSet(), cats, Config{PerCategoryN: 1})
-	all := miSel.KeepAll()
-	if !all["profit"] || !all["wheat"] {
-		t.Errorf("KeepAll = %v", all)
-	}
 	if miSel.Count() != 2 {
 		t.Errorf("Count = %d, want 2", miSel.Count())
 	}

@@ -292,6 +292,24 @@ func TestBMUTraceStableForSameWord(t *testing.T) {
 	}
 }
 
+// TestBMUTraceSimilarWordsShareOrNeighbour checks the Figure 3 property:
+// words with similar characters in close positions land on the same BMU
+// or on close ones.
+func TestBMUTraceSimilarWordsShareOrNeighbour(t *testing.T) {
+	enc := trainedEncoder(t)
+	trace, err := enc.BMUTrace("earn", []string{"profit", "profits"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := enc.Category("earn")
+	x1, y1 := ce.Map.Coords(trace[0])
+	x2, y2 := ce.Map.Coords(trace[1])
+	dx, dy := x1-x2, y1-y2
+	if dx*dx+dy*dy > 8 {
+		t.Errorf("morphologically similar words far apart: (%d,%d) vs (%d,%d)", x1, y1, x2, y2)
+	}
+}
+
 func TestGaussianEval(t *testing.T) {
 	g := &Gaussian{Mean: []float64{0, 0}, Variance: 1}
 	center := g.Eval([]float64{0, 0})

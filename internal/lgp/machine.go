@@ -25,10 +25,10 @@ type decodedInst struct {
 // A Machine caches the decoded form of the most recently executed
 // program, keyed by the *Program pointer, so running the same program
 // over many sequences decodes it once. Callers that mutate a Program's
-// Code in place must run it through a fresh *Program (Clone) or call
-// Invalidate; the evolutionary loop only mutates freshly cloned children,
-// so it never hits this case. A Machine is not safe for concurrent use —
-// use one Machine per goroutine.
+// Code in place must run it through a fresh *Program (Clone); the
+// evolutionary loop only mutates freshly cloned children, so it never
+// hits this case. A Machine is not safe for concurrent use — use one
+// Machine per goroutine.
 type Machine struct {
 	regs []float64
 
@@ -49,10 +49,6 @@ func (m *Machine) Reset() {
 		m.regs[i] = 0
 	}
 }
-
-// Invalidate drops the decoded-program cache. Only needed after mutating
-// a Program's Code in place between runs on the same Machine.
-func (m *Machine) Invalidate() { m.progSrc = nil }
 
 // Registers exposes the register file (aliased, for inspection).
 func (m *Machine) Registers() []float64 { return m.regs }

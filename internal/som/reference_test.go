@@ -148,7 +148,8 @@ func (m *Map) trainReference(inputs [][]float64) error {
 // and observers on some cases. Both trainers start from the same map;
 // their snapshots must be the same JSON bytes, their cached norms the
 // same bits, and their observers must see the same epochs. Train must
-// also leave no goroutine behind.
+// also leave no goroutine behind, even when a panicking observer cuts it
+// short.
 func TestTrainMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(2207))
 	dims := []int{1, 2, 3, 4, 5, 6, 91}
@@ -235,8 +236,30 @@ func TestTrainMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	// The schedule goroutine has finished by the time Train returns.
-	if after := runtime.NumGoroutine(); after > before {
+	// A Train cut short stops its schedule goroutine too. Here the
+	// observer panics after the first of three epochs, when the goroutine
+	// has planned every chunk it may run ahead and waits for a free one.
+	func() {
+		defer func() { _ = recover() }()
+		m, err := New(Config{Width: 2, Height: 2, Dim: 1, Epochs: 3, InitialLearningRate: 0.5, Seed: 1}, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.cfg.Observer = func(EpochStats) { panic("training abandoned") }
+		inputs := make([][]float64, 2*planChunks*planChunkSteps)
+		for i := range inputs {
+			inputs[i] = []float64{float64(i % 7)}
+		}
+		_ = m.Train(inputs)
+		t.Error("Train returned although its observer panicked")
+	}()
+	// stop returns once the schedule goroutine has closed done, which it
+	// does on its way out, so the runtime may count it a moment longer.
+	after := runtime.NumGoroutine()
+	for deadline := time.Now().Add(5 * time.Second); after > before && time.Now().Before(deadline); after = runtime.NumGoroutine() {
+		time.Sleep(time.Millisecond)
+	}
+	if after > before {
 		t.Errorf("%d goroutines before training, %d after", before, after)
 	}
 }

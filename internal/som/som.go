@@ -275,10 +275,12 @@ func (m *Map) NearestK(x []float64, k int) []int {
 // The learning rate, radius and Gaussian neighbourhood weights depend on
 // the step index alone, and a goroutine computes them ahead of the loop
 // (see schedule). That goroutine runs for the length of the call, so
-// one Train call can keep two cores busy, and it has exited by the time
-// Train returns. Every value is the same expression on the same operands
-// in the same order as an update followed by a BMU sweep, so the trained
-// weights are the bits that sequence gives.
+// one Train call can keep two cores busy. Train stops it before
+// returning, panics included; the goroutine has then closed its done
+// channel but may not have exited yet. Every value is the same
+// expression on the same operands in the same order as an update
+// followed by a BMU sweep, so the trained weights are the bits that
+// sequence gives.
 func (m *Map) Train(inputs [][]float64) error {
 	if len(inputs) == 0 {
 		return errors.New("som: no training inputs")
@@ -614,7 +616,7 @@ func (s *schedule) next() *stepPlan {
 }
 
 // stop ends the schedule goroutine, if it is still running, and returns
-// once it has exited.
+// once the goroutine has closed done, its last act before it exits.
 func (s *schedule) stop() {
 	close(s.quit)
 	<-s.done

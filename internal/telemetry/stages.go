@@ -114,10 +114,6 @@ type RequestTrace struct {
 	durs    [NumStages]time.Duration
 }
 
-// Sampled reports whether this request will emit a JSONL trace record —
-// callers can skip assembling record-only data (ids, hashes) when not.
-func (t *RequestTrace) Sampled() bool { return t.rec != nil && t.sampled }
-
 // Observe records one stage's duration: into the stage histogram and
 // into the trace's own record. Observing the same stage twice keeps the
 // last duration in the record (both land in the histogram). No-op on a
